@@ -16,10 +16,6 @@
 //! $ cargo run --release --bin daig_bench -- --baseline-qps "$BASE" \
 //!       --max-regress 0.05
 //!
-//! # CI transfer microbench: per-cell staged-closure vs interpreter
-//! # latency plus an interleaved dual-mode smoke sweep:
-//! $ cargo run --release --bin daig_bench -- --transfer-micro
-//!
 //! # CI explain-smoke: serve the fig10 octagon sweep with cost
 //! # attribution on (cold + warm), abort unless the accounting identity
 //! # holds and work/span ≥ 1, and print the full per-cell reports as
@@ -28,9 +24,7 @@
 //! ```
 
 use dai_bench::daig_bench::{
-    measure_explain, measure_micro, measure_throughput, measure_throughput_dual,
-    measure_transfer_micro, measure_transfer_micro_fig10, to_json, validate_artifact,
-    DaigBenchParams,
+    measure_explain, measure_micro, measure_throughput, to_json, validate_artifact, DaigBenchParams,
 };
 
 /// The single-worker qps recorded in PR 1's `BENCH_engine.json`
@@ -44,7 +38,6 @@ fn main() {
     let mut before_remeasured: Option<f64> = None;
     let mut max_regress = 0.30f64;
     let mut smoke_qps_only = false;
-    let mut transfer_micro_only = false;
     let mut explain_only = false;
     let mut baseline_qps: Option<f64> = None;
     let mut args = std::env::args().skip(1);
@@ -54,7 +47,6 @@ fn main() {
             "--check" => check_path = args.next(),
             "--profile" => profile = args.next().unwrap_or_default(),
             "--smoke-qps" => smoke_qps_only = true,
-            "--transfer-micro" => transfer_micro_only = true,
             "--explain" => explain_only = true,
             "--baseline-qps" => {
                 baseline_qps = Some(
@@ -76,7 +68,7 @@ fn main() {
                 println!(
                     "usage: daig_bench [--out FILE.json] [--check FILE.json] \
                      [--profile full|smoke] [--before-remeasured QPS] [--max-regress 0.30] \
-                     [--smoke-qps] [--baseline-qps QPS] [--transfer-micro] [--explain]"
+                     [--smoke-qps] [--baseline-qps QPS] [--explain]"
                 );
                 return;
             }
@@ -90,44 +82,6 @@ fn main() {
     if smoke_qps_only {
         let smoke = measure_throughput(&DaigBenchParams::smoke());
         println!("{:.1}", smoke.median());
-        return;
-    }
-
-    // `--transfer-micro`: the per-cell staged-closure vs interpreter
-    // latencies plus an interleaved dual-mode smoke sweep — the CI
-    // transfer microbench (informational; the correctness gate is the
-    // `transfer_compile` differential suite).
-    if transfer_micro_only {
-        let tmicro = measure_transfer_micro();
-        println!(
-            "transfer micro: compiled {:.1} ns, interp {:.1} ns ({:.2}x per cell), \
-             fused {:.1} ns/stmt, {} compiled / {} interp edges, {} fused run(s)",
-            tmicro.compiled_ns,
-            tmicro.interp_ns,
-            tmicro.speedup(),
-            tmicro.fused_ns_per_stmt,
-            tmicro.compiled_edges,
-            tmicro.interp_edges,
-            tmicro.fused_runs
-        );
-        let fig10 = measure_transfer_micro_fig10();
-        println!(
-            "transfer micro (fig10 population): compiled {:.1} ns, interp {:.1} ns \
-             ({:.2}x per cell), {} staged / {} unstaged edges",
-            fig10.compiled_ns,
-            fig10.interp_ns,
-            fig10.per_cell_ratio,
-            fig10.staged_edges,
-            fig10.unstaged_edges
-        );
-        let dual = measure_throughput_dual(&DaigBenchParams::smoke());
-        println!(
-            "transfer sweep (smoke, interleaved A/B): compiled median {:.1} qps, \
-             interp median {:.1} qps ({:.2}x)",
-            dual.0.median(),
-            dual.1.median(),
-            dual.0.median() / dual.1.median().max(1e-9)
-        );
         return;
     }
 
@@ -200,12 +154,10 @@ fn main() {
         println!(
             "{path}: all required fields present; committed smoke median {committed_smoke:.1} qps"
         );
-        // The re-run exercises the compiled warm path — the default
-        // engine configuration since the staged-transfer PR.
         let smoke = measure_throughput(&DaigBenchParams::smoke());
         let measured = smoke.median();
         println!(
-            "measured smoke median (compiled transfers): {measured:.1} qps ({} queries/sweep)",
+            "measured smoke median: {measured:.1} qps ({} queries/sweep)",
             smoke.queries
         );
         let floor = committed_smoke * (1.0 - max_regress);
@@ -238,38 +190,6 @@ fn main() {
         full.queries,
         full.median(),
         full.best()
-    );
-    println!("measuring compiled vs interpreted sweep (interleaved A/B)…");
-    let dual = measure_throughput_dual(&params);
-    println!(
-        "transfer sweep: compiled median {:.1} qps, interp median {:.1} qps ({:.2}x)",
-        dual.0.median(),
-        dual.1.median(),
-        dual.0.median() / dual.1.median().max(1e-9)
-    );
-    println!("measuring per-cell transfer latency…");
-    let tmicro = measure_transfer_micro();
-    println!(
-        "transfer micro: compiled {:.1} ns, interp {:.1} ns ({:.2}x), fused {:.1} ns/stmt, \
-         {} compiled / {} interp edges, {} fused run(s)",
-        tmicro.compiled_ns,
-        tmicro.interp_ns,
-        tmicro.speedup(),
-        tmicro.fused_ns_per_stmt,
-        tmicro.compiled_edges,
-        tmicro.interp_edges,
-        tmicro.fused_runs
-    );
-    println!("measuring per-cell transfer latency (fig10 population)…");
-    let tmicro_fig10 = measure_transfer_micro_fig10();
-    println!(
-        "transfer micro (fig10): compiled {:.1} ns, interp {:.1} ns ({:.2}x), \
-         {} staged / {} unstaged edges",
-        tmicro_fig10.compiled_ns,
-        tmicro_fig10.interp_ns,
-        tmicro_fig10.per_cell_ratio,
-        tmicro_fig10.staged_edges,
-        tmicro_fig10.unstaged_edges
     );
     println!("measuring explain attribution (fig10 cold + warm sweeps)…");
     let explain = measure_explain();
@@ -310,9 +230,6 @@ fn main() {
         &full,
         &smoke,
         &micro,
-        &dual,
-        &tmicro,
-        &tmicro_fig10,
         &explain,
         PR1_FILE_QPS,
         before_remeasured,

@@ -15,7 +15,6 @@
 //! embed `available_parallelism` alongside the throughput points.
 
 use dai_core::driver::ProgramEdit;
-use dai_core::TransferMode;
 use dai_domains::OctagonDomain;
 use dai_engine::{Engine, EngineConfig, Request, SessionId, Ticket};
 use dai_lang::Loc;
@@ -34,8 +33,6 @@ pub struct ScalingParams {
     pub worker_counts: Vec<usize>,
     /// Base seed; session `i` uses `seed + i`.
     pub seed: u64,
-    /// How transfer edges evaluate (staged closures vs the interpreter).
-    pub transfer: TransferMode,
 }
 
 impl Default for ScalingParams {
@@ -45,7 +42,6 @@ impl Default for ScalingParams {
             grow_edits: 40,
             worker_counts: vec![1, 2, 4, 8],
             seed: 0x5CA1E,
-            transfer: TransferMode::default(),
         }
     }
 }
@@ -139,7 +135,6 @@ pub const MIN_MULTI_WORKER_SPEEDUP: f64 = 0.8;
 fn run_at(workers: usize, params: &ScalingParams) -> ScalingPoint {
     let engine: Engine<OctagonDomain> = Engine::with_config(EngineConfig {
         workers,
-        transfer: params.transfer,
         ..EngineConfig::default()
     });
     let sessions: Vec<SessionId> = (0..params.sessions)
@@ -258,7 +253,6 @@ mod tests {
             grow_edits: 4,
             worker_counts: vec![1, 2],
             seed: 7,
-            transfer: TransferMode::default(),
         };
         let run = run_scaling(&params);
         assert!(

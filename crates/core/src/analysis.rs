@@ -5,11 +5,10 @@ use crate::build::{
     add_edge_structure, add_join_comp, add_loc_cells, dest_name, entry_cell_name, initial_daig,
     rollback_loop, Overrides,
 };
-use crate::compile::{TransferMode, TransferTable};
 use crate::edit::{dirty_from, write_with_invalidation};
 use crate::graph::{Daig, DaigError, Value};
 use crate::name::{IterCtx, Name};
-use crate::query::{query_with, CallResolver, QueryStats};
+use crate::query::{query, CallResolver, QueryStats};
 use dai_domains::AbstractDomain;
 use dai_lang::cfg::{Cfg, CfgError};
 use dai_lang::edit::{relabel_edge, splice_block_on_edge, SpliceInfo};
@@ -26,14 +25,6 @@ pub struct FuncAnalysis<D: AbstractDomain> {
     cfg: Cfg,
     daig: Daig<D>,
     entry_state: D,
-    /// How transfer edges are evaluated (see [`crate::compile`]).
-    mode: TransferMode,
-    /// The staged per-edge transfer table, present iff `mode` is
-    /// [`TransferMode::Compiled`]. Kept in sync with CFG edits by
-    /// [`FuncAnalysis::relabel`]/[`FuncAnalysis::splice`]; stale entries
-    /// are additionally fail-safe via the digest guard in
-    /// [`TransferTable::lookup`].
-    transfers: Option<TransferTable<D>>,
 }
 
 impl<D: AbstractDomain> FuncAnalysis<D> {
@@ -50,29 +41,12 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         phi0: D,
         strategy: crate::strategy::FixStrategy,
     ) -> FuncAnalysis<D> {
-        FuncAnalysis::with_config(cfg, phi0, strategy, TransferMode::default())
-    }
-
-    /// Builds the initial DAIG for `cfg` with entry state `φ₀` under the
-    /// given strategy and transfer-evaluation mode.
-    pub fn with_config(
-        cfg: Cfg,
-        phi0: D,
-        strategy: crate::strategy::FixStrategy,
-        mode: TransferMode,
-    ) -> FuncAnalysis<D> {
         let mut daig = initial_daig(&cfg, phi0.clone());
         daig.set_strategy(strategy);
-        let transfers = match mode {
-            TransferMode::Compiled => Some(TransferTable::build(&cfg)),
-            TransferMode::Interp => None,
-        };
         FuncAnalysis {
             cfg,
             daig,
             entry_state: phi0,
-            mode,
-            transfers,
         }
     }
 
@@ -83,43 +57,12 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
     /// statement cells hold `cfg`'s edge labels) in a Definition 4.1
     /// well-formed state; `dai-engine` validates both before installing a
     /// restored unit and falls back to a cold rebuild otherwise.
-    ///
-    /// The transfer table is not persisted (it holds closures); it is
-    /// restaged from the restored CFG under the default mode. Use
-    /// [`FuncAnalysis::set_transfer_mode`] to switch afterwards.
     pub fn from_parts(cfg: Cfg, daig: Daig<D>, entry_state: D) -> FuncAnalysis<D> {
-        let transfers = Some(TransferTable::build(&cfg));
         FuncAnalysis {
             cfg,
             daig,
             entry_state,
-            mode: TransferMode::Compiled,
-            transfers,
         }
-    }
-
-    /// The transfer-evaluation mode in effect.
-    pub fn transfer_mode(&self) -> TransferMode {
-        self.mode
-    }
-
-    /// Switches transfer evaluation between staged and interpreted.
-    /// Safe at any time: both modes are bit-identical on every value, so
-    /// filled cells and memo entries stay valid.
-    pub fn set_transfer_mode(&mut self, mode: TransferMode) {
-        if mode == self.mode {
-            return;
-        }
-        self.mode = mode;
-        self.transfers = match mode {
-            TransferMode::Compiled => Some(TransferTable::build(&self.cfg)),
-            TransferMode::Interp => None,
-        };
-    }
-
-    /// The staged transfer table, when running compiled.
-    pub fn transfers(&self) -> Option<&TransferTable<D>> {
-        self.transfers.as_ref()
     }
 
     /// The underlying CFG.
@@ -150,13 +93,6 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         (&self.cfg, &mut self.daig)
     }
 
-    /// [`FuncAnalysis::parts_mut`] plus the staged transfer table —
-    /// the borrow shape `dai-engine`'s scheduler needs to evaluate
-    /// compiled transfers while writing results back into the DAIG.
-    pub fn sched_parts_mut(&mut self) -> (&Cfg, &mut Daig<D>, Option<&TransferTable<D>>) {
-        (&self.cfg, &mut self.daig, self.transfers.as_ref())
-    }
-
     /// The current entry state `φ₀`.
     pub fn entry_state(&self) -> &D {
         &self.entry_state
@@ -181,9 +117,6 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
     /// Returns [`CfgError::NoSuchEdge`] for unknown edges.
     pub fn relabel(&mut self, edge: EdgeId, stmt: Stmt) -> Result<(), CfgError> {
         relabel_edge(&mut self.cfg, edge, stmt.clone())?;
-        if let Some(t) = &mut self.transfers {
-            t.relabel(edge, &stmt);
-        }
         write_with_invalidation(&mut self.daig, &Name::Stmt(edge), Value::Stmt(stmt));
         Ok(())
     }
@@ -267,17 +200,6 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
             let ec = entry_cell_name(&self.cfg);
             self.daig.write(&ec, Value::State(self.entry_state.clone()));
         }
-        // Restage transfers for the respliced region (new edges, and the
-        // moved edge whose id now labels a different statement). A splice
-        // only adds and moves edges, so targeted staging suffices — and
-        // keeps the staging cost proportional to the edit instead of
-        // re-digesting the whole function.
-        if let Some(t) = &mut self.transfers {
-            t.sync_edges(
-                &self.cfg,
-                info.new_edges.iter().copied().chain(std::iter::once(edge)),
-            );
-        }
         Ok(info)
     }
 
@@ -352,15 +274,7 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         resolver: &mut dyn CallResolver<D>,
         stats: &mut QueryStats,
     ) -> Result<Value<D>, DaigError> {
-        query_with(
-            &mut self.daig,
-            &self.cfg,
-            memo,
-            n,
-            resolver,
-            stats,
-            self.transfers.as_ref(),
-        )
+        query(&mut self.daig, &self.cfg, memo, n, resolver, stats)
     }
 
     /// Queries the fixed-point-consistent abstract state at a program
@@ -381,15 +295,7 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         stats: &mut QueryStats,
     ) -> Result<D, DaigError> {
         let name = self.resolve_loc_name(memo, loc, resolver, stats)?;
-        let v = query_with(
-            &mut self.daig,
-            &self.cfg,
-            memo,
-            &name,
-            resolver,
-            stats,
-            self.transfers.as_ref(),
-        )?;
+        let v = query(&mut self.daig, &self.cfg, memo, &name, resolver, stats)?;
         v.as_state()
             .cloned()
             .ok_or_else(|| DaigError::Invariant(format!("location cell {name} holds a statement")))
@@ -405,16 +311,7 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         stats: &mut QueryStats,
     ) -> Result<Name, DaigError> {
         resolve_loc_cell(self, loc, |fa, cell| {
-            query_with(
-                &mut fa.daig,
-                &fa.cfg,
-                memo,
-                cell,
-                resolver,
-                stats,
-                fa.transfers.as_ref(),
-            )
-            .map(|_| ())
+            query(&mut fa.daig, &fa.cfg, memo, cell, resolver, stats).map(|_| ())
         })
     }
 
@@ -443,14 +340,7 @@ impl<D: AbstractDomain> FuncAnalysis<D> {
         resolver: &mut dyn CallResolver<D>,
         stats: &mut QueryStats,
     ) -> Result<(), DaigError> {
-        crate::query::evaluate_all_with(
-            &mut self.daig,
-            &self.cfg,
-            memo,
-            resolver,
-            stats,
-            self.transfers.as_ref(),
-        )
+        crate::query::evaluate_all(&mut self.daig, &self.cfg, memo, resolver, stats)
     }
 }
 

@@ -7,8 +7,8 @@
 //! module captures that plan's cost while it executes:
 //!
 //! * [`ExplainSink`] rides the evaluation path — schedulers feed it one
-//!   record per demanded cell (outcome class, wall time, compiled vs.
-//!   interpreted transfer) and one accumulated record per fix cell
+//!   record per demanded cell (outcome class, wall time) and one
+//!   accumulated record per fix cell
 //!   (widening iterations, unroll depth);
 //! * the sink folds per-cell finish times along dependency edges, so the
 //!   **critical path (span)** through the cone's DAG falls out of the
@@ -60,8 +60,6 @@ pub struct CellCost {
     pub cell: String,
     /// Which Fig. 8 rule produced the value.
     pub outcome: CellOutcome,
-    /// Whether a staged (compiled) transfer served the computation.
-    pub compiled: bool,
     /// Wall time spent evaluating this cell, in nanoseconds. Zero for
     /// reused cells — reuse is the whole point of the DAIG.
     pub wall_ns: u64,
@@ -91,8 +89,6 @@ pub struct FixCost {
 pub struct ExplainReport {
     /// The abstract domain's stable tag ("interval", "octagon", …).
     pub domain: String,
-    /// Transfer evaluation mode at capture time ("compiled" | "interp").
-    pub transfer: String,
     /// Per-cell records in evaluation order (union cone of the batch).
     pub cells: Vec<CellCost>,
     /// Per-fix-cell records, completed (converged) fixes first.
@@ -202,9 +198,8 @@ impl ExplainReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "explain: domain {} · transfers {} · {} cells ({} computed / {} memo / {} reused) · {} fixes",
+            "explain: domain {} · {} cells ({} computed / {} memo / {} reused) · {} fixes",
             self.domain,
-            self.transfer,
             self.cells.len(),
             self.outcome_cells(CellOutcome::Computed),
             self.outcome_cells(CellOutcome::MemoMatched),
@@ -232,19 +227,18 @@ impl ExplainReport {
             fmt_ns(self.outcome_ns(CellOutcome::MemoMatched)),
             fmt_ns(self.fix_ns())
         );
-        let mut rows: Vec<[String; 4]> = Vec::new();
+        let mut rows: Vec<[String; 3]> = Vec::new();
         for c in self.hottest(top) {
             rows.push([
                 c.cell.clone(),
                 c.outcome.tag().to_string(),
-                if c.compiled { "compiled" } else { "-" }.to_string(),
                 fmt_ns(c.wall_ns),
             ]);
         }
         if !rows.is_empty() {
             let _ = writeln!(out, "  hottest cells:");
             out.push_str(&dai_trace::render_table(
-                &["cell", "outcome", "transfer", "wall"],
+                &["cell", "outcome", "wall"],
                 &rows,
                 "    ",
             ));
@@ -270,13 +264,12 @@ impl ExplainReport {
         let mut s = String::new();
         let _ = write!(
             s,
-            "{{\"domain\":\"{}\",\"transfer\":\"{}\",\"cells\":{},\"computed\":{},\
+            "{{\"domain\":\"{}\",\"cells\":{},\"computed\":{},\
              \"memo_matched\":{},\"reused\":{},\"fixes\":{},\"converged_fixes\":{},\
              \"unrolls\":{},\"work_ns\":{},\"span_ns\":{},\"parallelism\":{:.3},\
              \"lock_wait_ns\":{},\"lock_held_ns\":{},\"eval_ns\":{},\
              \"computed_ns\":{},\"memo_matched_ns\":{},\"fix_ns\":{},\"hottest\":[",
             json_escape(&self.domain),
-            json_escape(&self.transfer),
             self.cells.len(),
             self.outcome_cells(CellOutcome::Computed),
             self.outcome_cells(CellOutcome::MemoMatched),
@@ -300,11 +293,9 @@ impl ExplainReport {
             }
             let _ = write!(
                 s,
-                "{{\"cell\":\"{}\",\"outcome\":\"{}\",\"compiled\":{},\"wall_ns\":{},\
-                 \"finish_ns\":{}}}",
+                "{{\"cell\":\"{}\",\"outcome\":\"{}\",\"wall_ns\":{},\"finish_ns\":{}}}",
                 json_escape(&c.cell),
                 c.outcome.tag(),
-                c.compiled,
                 c.wall_ns,
                 c.finish_ns
             );
@@ -383,7 +374,7 @@ impl ExplainSink {
     /// Records one ready-computation application. `delta` is the
     /// [`QueryStats`] movement of exactly this application: one
     /// `memo_matched` bump means `Q-Match`, otherwise `Q-Miss`
-    /// (`computed`); a `transfers_compiled` bump marks the staged path.
+    /// (`computed`).
     pub fn record_applied<D: AbstractDomain>(
         &mut self,
         daig: &Daig<D>,
@@ -403,7 +394,6 @@ impl ExplainSink {
         self.cells.push(CellCost {
             cell: daig.name_of(id).to_string(),
             outcome,
-            compiled: delta.transfers_compiled > 0,
             wall_ns,
             finish_ns,
         });
@@ -415,7 +405,6 @@ impl ExplainSink {
         self.cells.push(CellCost {
             cell,
             outcome: CellOutcome::Reused,
-            compiled: false,
             wall_ns: 0,
             finish_ns: 0,
         });
@@ -462,12 +451,11 @@ impl ExplainSink {
         }
     }
 
-    /// Seals the capture into a report. `domain`/`transfer` tag the
-    /// engine context; the three timings come from the serving path.
+    /// Seals the capture into a report. `domain` tags the engine
+    /// context; the three timings come from the serving path.
     pub fn finish_report(
         mut self,
         domain: String,
-        transfer: String,
         lock_wait_ns: u64,
         lock_held_ns: u64,
         eval_ns: u64,
@@ -475,7 +463,6 @@ impl ExplainSink {
         self.flush_open_fixes();
         ExplainReport {
             domain,
-            transfer,
             cells: self.cells,
             fixes: self.fixes,
             work_ns: self.work_ns,
@@ -559,7 +546,7 @@ mod tests {
         };
         sink.record_applied(daig, ids[0], &delta, 10);
         sink.record_applied(daig, ids[1], &delta, 30);
-        let report = sink.finish_report("interval".into(), "compiled".into(), 1, 2, 3);
+        let report = sink.finish_report("interval".into(), 1, 2, 3);
         assert_eq!(report.work_ns, 40);
         assert_eq!(report.span_ns, 30);
         assert!(report.parallelism() > 1.3 && report.parallelism() < 1.34);
@@ -581,7 +568,7 @@ mod tests {
         };
         sink.record_applied(daig, src, &delta, 100);
         sink.record_applied(daig, dep, &delta, 7);
-        let report = sink.finish_report("interval".into(), "interp".into(), 0, 0, 0);
+        let report = sink.finish_report("interval".into(), 0, 0, 0);
         assert_eq!(report.span_ns, 107, "dependent chains, not max of walls");
         assert_eq!(report.cells[1].finish_ns, 107);
     }
@@ -602,7 +589,7 @@ mod tests {
         sink.record_applied(daig, id, &computed, 5);
         sink.record_applied(daig, id, &matched, 5);
         sink.record_reused("f:sigma".to_string());
-        let report = sink.finish_report("interval".into(), "compiled".into(), 0, 0, 0);
+        let report = sink.finish_report("interval".into(), 0, 0, 0);
         let good = QueryStats {
             computed: 1,
             memo_matched: 1,
@@ -633,7 +620,7 @@ mod tests {
         sink.record_applied(daig, src, &delta, 1_000);
         sink.begin_unit(); // a different function's arena starts here
         sink.record_applied(daig, dep, &delta, 5);
-        let report = sink.finish_report("interval".into(), "compiled".into(), 0, 0, 0);
+        let report = sink.finish_report("interval".into(), 0, 0, 0);
         // Without the unit boundary this would be 1005.
         assert_eq!(report.cells[1].finish_ns, 5);
     }
@@ -646,7 +633,7 @@ mod tests {
         sink.record_fix_step(daig, id, 10, false);
         sink.record_fix_step(daig, id, 10, false);
         sink.record_fix_step(daig, id, 5, true);
-        let report = sink.finish_report("interval".into(), "compiled".into(), 0, 0, 0);
+        let report = sink.finish_report("interval".into(), 0, 0, 0);
         assert_eq!(report.fixes.len(), 1);
         let f = &report.fixes[0];
         assert_eq!(
@@ -664,7 +651,6 @@ mod tests {
         let daig = fa.daig();
         let delta = QueryStats {
             computed: 1,
-            transfers_compiled: 1,
             ..QueryStats::default()
         };
         let mut ids = daig.ids();
@@ -672,7 +658,7 @@ mod tests {
         let second = ids.next().expect("fixture has two cells");
         sink.record_applied(daig, first, &delta, 1_500);
         sink.record_fix_step(daig, second, 10, false);
-        let report = sink.finish_report("octagon".into(), "compiled".into(), 10, 20, 30);
+        let report = sink.finish_report("octagon".into(), 10, 20, 30);
         let text = report.render(5);
         assert!(text.contains("octagon"), "{text}");
         assert!(text.contains("not converged"), "{text}");

@@ -85,7 +85,6 @@ pub struct InterAnalyzer<D: AbstractDomain> {
     entry_fn: Symbol,
     phi0: D,
     strategy: crate::strategy::FixStrategy,
-    mode: crate::compile::TransferMode,
     units: HashMap<(Symbol, Context), FuncAnalysis<D>>,
     memo: MemoTable<Value<D>>,
     stats: QueryStats,
@@ -140,34 +139,12 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
         phi0: D,
         strategy: crate::strategy::FixStrategy,
     ) -> InterAnalyzer<D> {
-        InterAnalyzer::with_config(
-            program,
-            policy,
-            entry_fn,
-            phi0,
-            strategy,
-            crate::compile::TransferMode::default(),
-        )
-    }
-
-    /// Like [`InterAnalyzer::with_strategy`] but with an explicit
-    /// transfer-evaluation mode applied to every unit (see
-    /// [`crate::compile`]).
-    pub fn with_config(
-        program: LoweredProgram,
-        policy: ContextPolicy,
-        entry_fn: &str,
-        phi0: D,
-        strategy: crate::strategy::FixStrategy,
-        mode: crate::compile::TransferMode,
-    ) -> InterAnalyzer<D> {
         InterAnalyzer {
             program,
             policy,
             entry_fn: Symbol::new(entry_fn),
             phi0,
             strategy,
-            mode,
             units: HashMap::new(),
             memo: MemoTable::new(),
             stats: QueryStats::default(),
@@ -252,10 +229,8 @@ impl<D: AbstractDomain> InterAnalyzer<D> {
         } else {
             D::bottom()
         };
-        self.units.insert(
-            key,
-            FuncAnalysis::with_config(cfg, entry, self.strategy, self.mode),
-        );
+        self.units
+            .insert(key, FuncAnalysis::with_strategy(cfg, entry, self.strategy));
         Ok(())
     }
 

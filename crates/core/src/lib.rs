@@ -20,9 +20,6 @@
 //!   Name ↔ CellId lifecycle);
 //! * [`build`] — `Dinit` (Appendix A) and the loop-region builder shared
 //!   by demanded unrolling and rollback;
-//! * [`compile`] — the staged-transfer table: per-edge compiled closures
-//!   (from `dai_domains::compile`) with digest-guarded lookup and fused
-//!   straight-line runs;
 //! * [`query`] — the Fig. 8 operational semantics (`Q-Reuse`, `Q-Match`,
 //!   `Q-Miss`, `Q-Loop-Converge`, `Q-Loop-Unroll`) with an auxiliary memo
 //!   table from `dai-memo`;
@@ -66,7 +63,6 @@
 pub mod analysis;
 pub mod batch;
 pub mod build;
-pub mod compile;
 pub mod consistency;
 pub mod dot;
 pub mod driver;
@@ -81,7 +77,6 @@ pub mod strategy;
 pub mod summaries;
 
 pub use analysis::{resolve_loc_cell, FuncAnalysis};
-pub use compile::{FusedRun, TransferMode, TransferTable};
 pub use driver::{Config, Driver, ProgramEdit};
 pub use explain::{CellCost, CellOutcome, ExplainReport, ExplainSink, FixCost};
 pub use graph::{Daig, DaigError, Func, Value};

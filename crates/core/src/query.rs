@@ -29,7 +29,6 @@
 //! argument values.
 
 use crate::build::unroll_loop;
-use crate::compile::TransferTable;
 use crate::graph::{Daig, DaigError, Func, Value};
 use crate::intern::CellId;
 use crate::name::Name;
@@ -107,15 +106,6 @@ pub struct QueryStats {
     /// as large as the sum of its members' solo cones. The sequential
     /// stack evaluator never counts it.
     pub cone_cells: u64,
-    /// `Q-Miss` transfer computations evaluated through a staged
-    /// [`TransferTable`] closure (see [`crate::compile`]).
-    pub transfers_compiled: u64,
-    /// `Q-Miss` transfer computations evaluated by the
-    /// [`AbstractDomain::transfer`] interpreter — either because no table
-    /// was supplied (interp mode), the statement has no compiled form
-    /// (calls, unstaged domains), or a stale entry failed the digest
-    /// guard.
-    pub transfers_interp: u64,
 }
 
 impl QueryStats {
@@ -128,8 +118,6 @@ impl QueryStats {
         self.fix_converged += other.fix_converged;
         self.cone_walks += other.cone_walks;
         self.cone_cells += other.cone_cells;
-        self.transfers_compiled += other.transfers_compiled;
-        self.transfers_interp += other.transfers_interp;
     }
 
     /// The work between an `earlier` cumulative reading and this one
@@ -146,8 +134,6 @@ impl QueryStats {
             fix_converged,
             cone_walks,
             cone_cells,
-            transfers_compiled,
-            transfers_interp,
         } = *self;
         QueryStats {
             computed: computed - earlier.computed,
@@ -157,8 +143,6 @@ impl QueryStats {
             fix_converged: fix_converged - earlier.fix_converged,
             cone_walks: cone_walks - earlier.cone_walks,
             cone_cells: cone_cells - earlier.cone_cells,
-            transfers_compiled: transfers_compiled - earlier.transfers_compiled,
-            transfers_interp: transfers_interp - earlier.transfers_interp,
         }
     }
 }
@@ -306,23 +290,6 @@ pub fn apply_ready<D: AbstractDomain>(
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
 ) -> Result<Value<D>, DaigError> {
-    apply_ready_with(rc, memo, resolver, stats, None)
-}
-
-/// [`apply_ready`] evaluating transfers through a staged
-/// [`TransferTable`] when one is supplied (`None` interprets; the results
-/// are bit-identical either way, see [`crate::compile`]).
-///
-/// # Errors
-///
-/// As [`apply_ready`].
-pub fn apply_ready_with<D: AbstractDomain>(
-    rc: &ReadyComp<D>,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-) -> Result<Value<D>, DaigError> {
     let inputs: Vec<&Value<D>> = rc.inputs.iter().collect();
     apply_inputs(
         &rc.dest,
@@ -334,7 +301,6 @@ pub fn apply_ready_with<D: AbstractDomain>(
         memo,
         resolver,
         stats,
-        transfers,
     )
 }
 
@@ -353,23 +319,6 @@ pub fn apply_ready_at<D: AbstractDomain>(
     memo: &mut dyn MemoStore<Value<D>>,
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
-) -> Result<Value<D>, DaigError> {
-    apply_ready_at_with(daig, dest, memo, resolver, stats, None)
-}
-
-/// [`apply_ready_at`] evaluating transfers through a staged
-/// [`TransferTable`] when one is supplied.
-///
-/// # Errors
-///
-/// As [`apply_ready_at`].
-pub fn apply_ready_at_with<D: AbstractDomain>(
-    daig: &Daig<D>,
-    dest: CellId,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
 ) -> Result<Value<D>, DaigError> {
     let comp = daig.comp_slot(dest).ok_or_else(|| {
         DaigError::Invariant(format!("cell {} has no computation", daig.name_of(dest)))
@@ -404,7 +353,6 @@ pub fn apply_ready_at_with<D: AbstractDomain>(
         memo,
         resolver,
         stats,
-        transfers,
     )
 }
 
@@ -420,7 +368,6 @@ fn apply_inputs<D: AbstractDomain>(
     memo: &mut dyn MemoStore<Value<D>>,
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
 ) -> Result<Value<D>, DaigError> {
     match func {
         Func::Fix => Err(DaigError::Invariant(format!(
@@ -456,26 +403,7 @@ fn apply_inputs<D: AbstractDomain>(
                         Ok(v)
                     }
                     None => {
-                        // `digests[0]` is the statement cell's content
-                        // digest — exactly what the table's staleness
-                        // guard wants, and already in hand from the memo
-                        // key. A stale or missing entry falls back to the
-                        // interpreter; both paths are bit-identical by
-                        // the `dai_domains::compile` contract.
-                        let staged = transfers
-                            .zip(stmt_edge)
-                            .and_then(|(t, e)| t.lookup(e, digests[0]));
-                        let post = match staged {
-                            Some(ct) => {
-                                stats.transfers_compiled += 1;
-                                ct.apply(pre)
-                            }
-                            None => {
-                                stats.transfers_interp += 1;
-                                pre.transfer(stmt)
-                            }
-                        };
-                        let v = Value::State(post);
+                        let v = Value::State(pre.transfer(stmt));
                         memo.record(key, v.clone());
                         stats.computed += 1;
                         dai_trace::event!("core.memo_miss");
@@ -669,29 +597,10 @@ pub fn query<D: AbstractDomain>(
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
 ) -> Result<Value<D>, DaigError> {
-    query_with(daig, cfg, memo, n, resolver, stats, None)
-}
-
-/// [`query`] evaluating transfers through a staged [`TransferTable`]
-/// when one is supplied.
-///
-/// # Errors
-///
-/// As [`query`].
-#[allow(clippy::too_many_arguments)]
-pub fn query_with<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    memo: &mut dyn MemoStore<Value<D>>,
-    n: &Name,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-) -> Result<Value<D>, DaigError> {
     let Some(id) = daig.id_of(n) else {
         return Err(DaigError::NoSuchCell(n.to_string()));
     };
-    query_id_with(daig, cfg, memo, id, resolver, stats, transfers)
+    query_id(daig, cfg, memo, id, resolver, stats)
 }
 
 /// Id-level [`query`]: the explicit-stack Fig. 8 evaluator over interned
@@ -707,25 +616,6 @@ pub fn query_id<D: AbstractDomain>(
     target: CellId,
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
-) -> Result<Value<D>, DaigError> {
-    query_id_with(daig, cfg, memo, target, resolver, stats, None)
-}
-
-/// [`query_id`] evaluating transfers through a staged [`TransferTable`]
-/// when one is supplied.
-///
-/// # Errors
-///
-/// As [`query_id`].
-#[allow(clippy::too_many_arguments)]
-pub fn query_id_with<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    memo: &mut dyn MemoStore<Value<D>>,
-    target: CellId,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
 ) -> Result<Value<D>, DaigError> {
     if !daig.contains_id(target) {
         return Err(DaigError::NoSuchCell(daig.name_of(target).to_string()));
@@ -801,7 +691,7 @@ pub fn query_id_with<D: AbstractDomain>(
                 }
             }
         } else {
-            let value = apply_ready_at_with(daig, top, memo, resolver, stats, transfers)?;
+            let value = apply_ready_at(daig, top, memo, resolver, stats)?;
             daig.write_id(top, value);
             stack.pop();
         }
@@ -822,23 +712,6 @@ pub fn evaluate_all<D: AbstractDomain>(
     resolver: &mut dyn CallResolver<D>,
     stats: &mut QueryStats,
 ) -> Result<(), DaigError> {
-    evaluate_all_with(daig, cfg, memo, resolver, stats, None)
-}
-
-/// [`evaluate_all`] evaluating transfers through a staged
-/// [`TransferTable`] when one is supplied.
-///
-/// # Errors
-///
-/// As [`evaluate_all`].
-pub fn evaluate_all_with<D: AbstractDomain>(
-    daig: &mut Daig<D>,
-    cfg: &Cfg,
-    memo: &mut dyn MemoStore<Value<D>>,
-    resolver: &mut dyn CallResolver<D>,
-    stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
-) -> Result<(), DaigError> {
     // Demanding all fix cells (and the exit) forces the whole graph; the
     // set of names grows during unrolling, so iterate to quiescence.
     loop {
@@ -851,7 +724,7 @@ pub fn evaluate_all_with<D: AbstractDomain>(
         }
         for id in pending {
             if daig.contains_id(id) && daig.value_id(id).is_none() {
-                query_id_with(daig, cfg, memo, id, resolver, stats, transfers)?;
+                query_id(daig, cfg, memo, id, resolver, stats)?;
             }
         }
     }

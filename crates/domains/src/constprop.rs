@@ -171,100 +171,6 @@ impl fmt::Display for ConstDomain {
     }
 }
 
-impl crate::compile::CompileTransfer for ConstDomain {
-    fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        use crate::compile::{CompiledTransfer, TransferShape};
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) => Some(CompiledTransfer::new(
-                TransferShape::Identity,
-                |pre: &ConstDomain| match pre {
-                    ConstDomain::Env(_) => pre.clone(),
-                    ConstDomain::Bottom => ConstDomain::Bottom,
-                },
-            )),
-            Stmt::Assign(x, e) => {
-                let x = x.clone();
-                match e {
-                    Expr::Int(_) | Expr::Bool(_) | Expr::Null => {
-                        let v = eval_const(&BTreeMap::new(), e);
-                        Some(CompiledTransfer::new(
-                            TransferShape::ConstAssign,
-                            move |pre: &ConstDomain| match pre {
-                                ConstDomain::Env(_) => pre.with_binding(&x, v),
-                                ConstDomain::Bottom => ConstDomain::Bottom,
-                            },
-                        ))
-                    }
-                    _ => {
-                        let shape = if matches!(e, Expr::Var(_)) {
-                            TransferShape::CopyAssign
-                        } else {
-                            TransferShape::Assign
-                        };
-                        let e = e.clone();
-                        Some(CompiledTransfer::new(shape, move |pre: &ConstDomain| {
-                            let ConstDomain::Env(env) = pre else {
-                                return ConstDomain::Bottom;
-                            };
-                            pre.with_binding(&x, eval_const(env, &e))
-                        }))
-                    }
-                }
-            }
-            Stmt::ArrayWrite(a, i, e) => {
-                let a = a.clone();
-                let i = i.clone();
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &ConstDomain| {
-                        let ConstDomain::Env(env) = pre else {
-                            return ConstDomain::Bottom;
-                        };
-                        if env.contains_key(&a) {
-                            return ConstDomain::Bottom;
-                        }
-                        match (eval_const(env, &i), eval_const(env, &e)) {
-                            (CVal::Bot, _) | (_, CVal::Bot) => ConstDomain::Bottom,
-                            (CVal::Known(Const::Int(n)), _) if n < 0 => ConstDomain::Bottom,
-                            (CVal::Known(c), _) if !matches!(c, Const::Int(_)) => {
-                                ConstDomain::Bottom
-                            }
-                            _ => pre.clone(),
-                        }
-                    },
-                ))
-            }
-            Stmt::FieldWrite(x, _, _) => {
-                let x = x.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &ConstDomain| {
-                        let ConstDomain::Env(env) = pre else {
-                            return ConstDomain::Bottom;
-                        };
-                        if env.contains_key(&x) {
-                            return ConstDomain::Bottom;
-                        }
-                        pre.clone()
-                    },
-                ))
-            }
-            Stmt::Assume(e) => {
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::Assume,
-                    move |pre: &ConstDomain| match pre {
-                        ConstDomain::Env(_) => pre.refine(&e, true),
-                        ConstDomain::Bottom => ConstDomain::Bottom,
-                    },
-                ))
-            }
-            Stmt::Call { .. } => None,
-        }
-    }
-}
-
 /// Constant-folds `expr` in `env`, trapping exactly when the concrete
 /// semantics would (overflow, division by zero, type confusion).
 fn eval_const(env: &BTreeMap<Symbol, Const>, expr: &Expr) -> CVal {
@@ -414,10 +320,6 @@ impl AbstractDomain for ConstDomain {
                 None => self.clone(),
             },
         }
-    }
-
-    fn compile_transfer(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        <ConstDomain as crate::compile::CompileTransfer>::stage(stmt)
     }
 
     fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {

@@ -921,130 +921,6 @@ fn refine_absval(op: BinOp, x: &AbsVal, other: &AbsVal) -> AbsVal {
     }
 }
 
-impl crate::compile::CompileTransfer for IntervalDomain {
-    fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        use crate::compile::{CompiledTransfer, TransferShape};
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) => Some(CompiledTransfer::new(
-                TransferShape::Identity,
-                |pre: &IntervalDomain| match pre {
-                    IntervalDomain::Env(_) => pre.clone(),
-                    IntervalDomain::Bottom => IntervalDomain::Bottom,
-                },
-            )),
-            Stmt::Assign(x, Expr::AllocNode) => {
-                let x = x.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::ConstAssign,
-                    move |pre: &IntervalDomain| match pre {
-                        IntervalDomain::Env(_) => pre.with_binding(&x, AbsVal::NodeRef),
-                        IntervalDomain::Bottom => IntervalDomain::Bottom,
-                    },
-                ))
-            }
-            Stmt::Assign(x, e) => {
-                let x = x.clone();
-                match e {
-                    Expr::Int(_) | Expr::Bool(_) | Expr::Null => {
-                        let v = eval_in(&BTreeMap::new(), e);
-                        Some(CompiledTransfer::new(
-                            TransferShape::ConstAssign,
-                            move |pre: &IntervalDomain| match pre {
-                                IntervalDomain::Env(_) => pre.with_binding(&x, v.clone()),
-                                IntervalDomain::Bottom => IntervalDomain::Bottom,
-                            },
-                        ))
-                    }
-                    _ => {
-                        let shape = if matches!(e, Expr::Var(_)) {
-                            TransferShape::CopyAssign
-                        } else {
-                            TransferShape::Assign
-                        };
-                        let e = e.clone();
-                        Some(CompiledTransfer::new(shape, move |pre: &IntervalDomain| {
-                            let IntervalDomain::Env(env) = pre else {
-                                return IntervalDomain::Bottom;
-                            };
-                            pre.with_binding(&x, eval_in(env, &e))
-                        }))
-                    }
-                }
-            }
-            Stmt::ArrayWrite(a, i, e) => {
-                let a = a.clone();
-                let i = i.clone();
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &IntervalDomain| {
-                        let IntervalDomain::Env(env) = pre else {
-                            return IntervalDomain::Bottom;
-                        };
-                        let iv = eval_in(env, &i).as_num();
-                        if iv.is_empty() {
-                            return IntervalDomain::Bottom;
-                        }
-                        let ev = eval_in(env, &e);
-                        match env.get(&a).cloned().unwrap_or(AbsVal::Top) {
-                            AbsVal::Arr(arr) => {
-                                let min_len = match iv.lo() {
-                                    Bound::Fin(l) if l >= 0 => l.saturating_add(1),
-                                    _ => 1,
-                                };
-                                let new = ArrayAbs {
-                                    len: arr.len.meet(&Interval::at_least(min_len)),
-                                    elem: Box::new(arr.elem.join(&ev)),
-                                };
-                                if new.len.is_empty() {
-                                    return IntervalDomain::Bottom;
-                                }
-                                pre.with_binding(&a, AbsVal::Arr(new))
-                            }
-                            AbsVal::Top => pre.with_binding(
-                                &a,
-                                AbsVal::Arr(ArrayAbs {
-                                    len: Interval::at_least(1),
-                                    elem: Box::new(AbsVal::Top),
-                                }),
-                            ),
-                            _ => IntervalDomain::Bottom,
-                        }
-                    },
-                ))
-            }
-            Stmt::FieldWrite(x, _, _) => {
-                let x = x.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &IntervalDomain| {
-                        let IntervalDomain::Env(env) = pre else {
-                            return IntervalDomain::Bottom;
-                        };
-                        match env.get(&x).cloned().unwrap_or(AbsVal::Top) {
-                            AbsVal::NodeRef | AbsVal::AnyRef | AbsVal::Top => {
-                                pre.with_binding(&x, AbsVal::NodeRef)
-                            }
-                            _ => IntervalDomain::Bottom,
-                        }
-                    },
-                ))
-            }
-            Stmt::Assume(e) => {
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::Assume,
-                    move |pre: &IntervalDomain| match pre {
-                        IntervalDomain::Env(_) => pre.refine(&e, true),
-                        IntervalDomain::Bottom => IntervalDomain::Bottom,
-                    },
-                ))
-            }
-            Stmt::Call { .. } => None,
-        }
-    }
-}
-
 fn eval_in(env: &BTreeMap<Symbol, AbsVal>, expr: &Expr) -> AbsVal {
     match expr {
         Expr::Int(n) => AbsVal::Num(Interval::constant(*n)),
@@ -1289,10 +1165,6 @@ impl AbstractDomain for IntervalDomain {
                 None => self.clone(),
             },
         }
-    }
-
-    fn compile_transfer(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        <IntervalDomain as crate::compile::CompileTransfer>::stage(stmt)
     }
 
     fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {

@@ -30,23 +30,8 @@
 //! * [`constprop`] — flat constant propagation à la Sagiv–Reps–Horwitz;
 //! * [`product`] — the direct-product combinator `Prod<A, B>`, building new
 //!   domain instances compositionally (e.g. intervals × signs).
-//!
-//! # Staged transfer compilation
-//!
-//! The [`compile`] module adds the second stage of a two-stage transfer
-//! evaluator: [`AbstractDomain::compile_transfer`] specializes a
-//! statement against the domain *once* — classifying its shape
-//! (constant/copy/shift/linear assignment, assume, skip) and
-//! pre-resolving its variables — and returns a [`CompiledTransfer`]
-//! closure that jumps straight to the domain's internal primitives on
-//! every application. Staged closures are **bit-for-bit identical** to
-//! [`AbstractDomain::transfer`] (the module docs state the contract),
-//! so the interpreter remains shipped as the differential oracle.
-//! Domains without a compiler inherit the default (`None`) and simply
-//! always interpret.
 
 pub mod bool3;
-pub mod compile;
 pub mod constprop;
 pub mod interval;
 pub mod octagon;
@@ -55,7 +40,6 @@ pub mod shape;
 pub mod sign;
 
 pub use bool3::Bool3;
-pub use compile::{CompileTransfer, CompiledTransfer, TransferShape};
 pub use constprop::ConstDomain;
 pub use interval::IntervalDomain;
 pub use octagon::OctagonDomain;
@@ -128,19 +112,6 @@ pub trait AbstractDomain:
     /// treat a call conservatively (havoc the left-hand side) so that a
     /// purely intraprocedural analysis remains sound.
     fn transfer(&self, stmt: &Stmt) -> Self;
-
-    /// Stages `stmt` into a [`CompiledTransfer`] closure specialized to
-    /// this domain, or `None` to evaluate through [`Self::transfer`]
-    /// (the interpreter). The default compiles nothing, so plugging in a
-    /// new domain never requires touching the compilation layer; domains
-    /// with compilers override this to delegate to their
-    /// [`compile::CompileTransfer`] impl. A returned closure must be
-    /// bit-for-bit identical to the interpreter (see [`compile`] module
-    /// docs for the contract and fallback rules).
-    fn compile_transfer(stmt: &Stmt) -> Option<CompiledTransfer<Self>> {
-        let _ = stmt;
-        None
-    }
 
     /// Abstract entry state of a callee: bind `callee_params` to the actual
     /// arguments evaluated in the caller state `self` at the call site.

@@ -730,23 +730,46 @@ impl OctagonDomain {
         // l − r + (lc − rc) relates to 0 by `op`; move constants right:
         // Σ terms ≤ rhs_const − (lc − rc) [+ slack for strictness].
         let base = rc.checked_sub(lc)?;
-        let mut out = match self {
+        let o = match self {
             OctagonDomain::Bottom => return Some(OctagonDomain::Bottom),
-            OctagonDomain::Oct(o) => Oct::clone(o),
+            OctagonDomain::Oct(o) => o,
         };
+        let neg: Vec<(i64, Symbol)> = match op {
+            BinOp::Gt | BinOp::Ge | BinOp::Eq => {
+                terms.iter().map(|(s, v)| (-s, v.clone())).collect()
+            }
+            _ => Vec::new(),
+        };
+        // Guard fast path: when a closed, consistent octagon already
+        // implies every constraint, `add_sum_le` would tighten nothing and
+        // `close` would be a no-op, so the result is bit-equal to `self` —
+        // share it instead of copying the matrix. At a converged fixpoint
+        // loop guards are the common case. A bound that overflows is never
+        // implied, so it falls through to the code below unchanged.
+        let implied = |t: &[(i64, Symbol)], bound: Option<i64>| {
+            bound.is_some_and(|b| o.implies_sum_le(t, k, b))
+        };
+        let fast = o.is_closed()
+            && !o.has_negative_diagonal()
+            && match op {
+                BinOp::Lt => implied(&terms, base.checked_sub(1)),
+                BinOp::Le => implied(&terms, Some(base)),
+                BinOp::Gt => implied(&neg, base.checked_neg().and_then(|b| b.checked_sub(1))),
+                BinOp::Ge => implied(&neg, base.checked_neg()),
+                BinOp::Eq => implied(&terms, Some(base)) && implied(&neg, base.checked_neg()),
+                BinOp::Ne => true,
+                _ => false,
+            };
+        if fast {
+            return Some(OctagonDomain::Oct(Arc::clone(o)));
+        }
+        let mut out = Oct::clone(o);
         let ok = match op {
             BinOp::Lt => add_sum_le(&mut out, &terms, k, base.checked_sub(1)?),
             BinOp::Le => add_sum_le(&mut out, &terms, k, base),
-            BinOp::Gt => {
-                let neg: Vec<(i64, Symbol)> = terms.iter().map(|(s, v)| (-s, v.clone())).collect();
-                add_sum_le(&mut out, &neg, k, base.checked_neg()?.checked_sub(1)?)
-            }
-            BinOp::Ge => {
-                let neg: Vec<(i64, Symbol)> = terms.iter().map(|(s, v)| (-s, v.clone())).collect();
-                add_sum_le(&mut out, &neg, k, base.checked_neg()?)
-            }
+            BinOp::Gt => add_sum_le(&mut out, &neg, k, base.checked_neg()?.checked_sub(1)?),
+            BinOp::Ge => add_sum_le(&mut out, &neg, k, base.checked_neg()?),
             BinOp::Eq => {
-                let neg: Vec<(i64, Symbol)> = terms.iter().map(|(s, v)| (-s, v.clone())).collect();
                 add_sum_le(&mut out, &terms, k, base)
                     && add_sum_le(&mut out, &neg, k, base.checked_neg()?)
             }
@@ -844,17 +867,15 @@ fn merge_terms(terms: Vec<(i64, Symbol)>) -> Option<(Vec<(i64, Symbol)>, i64)> {
     }
 }
 
-/// Adds `Σ terms ≤ bound` to `o` (terms as produced by [`merge_terms`];
-/// `k = 2` marks a doubled single-variable constraint `±2x ≤ bound`).
-/// Returns `false` on an immediately contradictory constant constraint.
 impl Oct {
     /// Read-only twin of [`add_sum_le`]: would adding `Σ terms ≤ bound`
     /// change nothing? True iff every cell [`add_sum_le`] would
     /// [`Oct::tighten`] already carries a bound at least as tight (so
     /// the tighten no-ops) and every variable it would [`Oct::track`] is
     /// already tracked (so the matrix is not rebuilt). Must mirror
-    /// [`add_sum_le`]'s cell arithmetic exactly — the staged assume fast
-    /// path relies on "implied ⟹ bit-equal result".
+    /// [`add_sum_le`]'s cell arithmetic exactly — the guard fast path in
+    /// [`OctagonDomain::assume_cmp`] relies on "implied ⟹ bit-equal
+    /// result".
     fn implies_sum_le(&self, terms: &[(i64, Symbol)], k: i64, bound: i64) -> bool {
         match terms {
             [] => 0 <= bound,
@@ -892,6 +913,9 @@ impl Oct {
     }
 }
 
+/// Adds `Σ terms ≤ bound` to `o` (terms as produced by [`merge_terms`];
+/// `k = 2` marks a doubled single-variable constraint `±2x ≤ bound`).
+/// Returns `false` on an immediately contradictory constant constraint.
 fn add_sum_le(o: &mut Oct, terms: &[(i64, Symbol)], k: i64, bound: i64) -> bool {
     match terms {
         [] => 0 <= bound,
@@ -1241,10 +1265,6 @@ impl AbstractDomain for OctagonDomain {
         }
     }
 
-    fn compile_transfer(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        <OctagonDomain as crate::compile::CompileTransfer>::stage(stmt)
-    }
-
     fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {
         if self.is_bottom() {
             return OctagonDomain::Bottom;
@@ -1362,299 +1382,6 @@ impl AbstractDomain for OctagonDomain {
     }
 }
 
-impl crate::compile::CompileTransfer for OctagonDomain {
-    /// Stages a statement against the octagon domain. The win here is
-    /// real: the interpreter re-runs [`linear1`] (an AST walk with
-    /// checked arithmetic) and [`expr_definitely_numeric`] on every
-    /// evaluation before reaching the O(d) `assign_*_closed` primitives;
-    /// staging runs the classification once and the closure jumps
-    /// straight to the same primitive, so the results are bit-identical
-    /// by construction.
-    fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        use crate::compile::{CompiledTransfer, TransferShape};
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) | Stmt::FieldWrite(..) | Stmt::ArrayWrite(..) => {
-                // Identical to the interpreter on both variants: Bottom
-                // clones to Bottom, an octagon clones to itself.
-                Some(CompiledTransfer::new(
-                    TransferShape::Identity,
-                    |pre: &OctagonDomain| pre.clone(),
-                ))
-            }
-            Stmt::Assign(x, e) => {
-                if let Some(lin) = linear1(e) {
-                    let shape = match &lin {
-                        Linear1::Const(_) => TransferShape::ConstAssign,
-                        Linear1::Term { var, .. } if var == x => TransferShape::ShiftAssign,
-                        Linear1::Term { .. } => TransferShape::CopyAssign,
-                    };
-                    let x = x.clone();
-                    Some(CompiledTransfer::new(shape, move |pre: &OctagonDomain| {
-                        if pre.is_bottom() {
-                            return OctagonDomain::Bottom;
-                        }
-                        pre.assign_linear(&x, &lin)
-                    }))
-                } else {
-                    // Non-octagonal right-hand side: the interval
-                    // evaluation depends on the pre-state, but the
-                    // numericity classification does not — stage it.
-                    let numeric = expr_definitely_numeric(e);
-                    let x = x.clone();
-                    let e = e.clone();
-                    Some(CompiledTransfer::new(
-                        TransferShape::Assign,
-                        move |pre: &OctagonDomain| {
-                            if pre.is_bottom() {
-                                return OctagonDomain::Bottom;
-                            }
-                            let iv = pre.eval_interval(&e);
-                            if iv.is_empty() {
-                                return OctagonDomain::Bottom;
-                            }
-                            pre.map(|o| {
-                                if !o.close() {
-                                    return false;
-                                }
-                                if numeric {
-                                    o.assign_interval_closed(&x, iv);
-                                } else {
-                                    o.forget(&x);
-                                    o.untrack(&x);
-                                }
-                                true
-                            })
-                        },
-                    ))
-                }
-            }
-            Stmt::Assume(e) => {
-                // Stage the whole `refine` recursion: the interpreter
-                // re-walks the condition AST per evaluation, re-running
-                // `linear_terms`/`merge_terms` (allocations + checked
-                // arithmetic) for every comparison leaf. All of that is a
-                // pure function of the expression, so it is hoisted here
-                // into an [`AssumePlan`]; applying the plan jumps straight
-                // to `add_sum_le` + `close`.
-                let plan = AssumePlan::stage(e, true);
-                Some(CompiledTransfer::new(
-                    TransferShape::Assume,
-                    move |pre: &OctagonDomain| plan.apply(pre),
-                ))
-            }
-            // Calls route through the interprocedural resolver; their
-            // meaning is not a function of the statement text alone.
-            Stmt::Call { .. } => None,
-        }
-    }
-}
-
-/// A staged [`OctagonDomain::refine`]: the condition's boolean structure
-/// and every comparison leaf's constraint extraction, precomputed at
-/// stage time. [`AssumePlan::apply`] must take exactly the branches
-/// `refine` would — the bit-identity contract of [`crate::compile`]
-/// rests on each variant below mirroring one arm of `refine` /
-/// `assume_cmp`.
-/// One staged `add_sum_le` invocation: the `±1`-signed term list, its
-/// length `k`, and the bound — the exact argument triple `assume_cmp`
-/// passes through.
-type SumLeArgs = (Vec<(i64, Symbol)>, i64, i64);
-
-enum AssumePlan {
-    /// `Expr::Bool` leaf (or any always-`const` outcome): `true` clones,
-    /// `false` is `Bottom` — `refine`'s literal arm.
-    Const(bool),
-    /// No refinement possible (non-comparison leaf, or constraint
-    /// extraction failed before any state was touched): clone, exactly
-    /// `refine`'s `self.clone()` fallbacks.
-    Keep,
-    /// A comparison leaf whose extraction succeeded: the `(terms, k,
-    /// bound)` list `assume_cmp` would feed to [`add_sum_le`], in order
-    /// (two entries for `Eq`, none for `Ne`), followed by `close`.
-    Cmp(Vec<SumLeArgs>),
-    /// A comparison leaf whose *bound* arithmetic overflows in a place
-    /// `assume_cmp` only reaches lazily (`Eq` with `base == i64::MIN`:
-    /// the second bound's `checked_neg()?` sits after a short-circuiting
-    /// `&&`, so the outcome depends on the first add). Unstageable —
-    /// run the interpreter's own leaf at apply time.
-    Raw(BinOp, Expr, Expr),
-    /// `And` under `expected` / `Or` under `!expected`: refine left,
-    /// then refine right on the result.
-    Seq(Box<AssumePlan>, Box<AssumePlan>),
-    /// `Or` under `expected` / `And` under `!expected`: refine both
-    /// from the same pre-state and join.
-    Join(Box<AssumePlan>, Box<AssumePlan>),
-}
-
-impl AssumePlan {
-    /// Mirrors `refine(cond, expected)`'s match, one variant per arm.
-    fn stage(cond: &Expr, expected: bool) -> AssumePlan {
-        match cond {
-            Expr::Bool(b) => AssumePlan::Const(*b == expected),
-            Expr::Unary(UnOp::Not, inner) => AssumePlan::stage(inner, !expected),
-            Expr::Binary(BinOp::And, l, r) if expected => AssumePlan::Seq(
-                Box::new(AssumePlan::stage(l, true)),
-                Box::new(AssumePlan::stage(r, true)),
-            ),
-            Expr::Binary(BinOp::And, l, r) => AssumePlan::Join(
-                Box::new(AssumePlan::stage(l, false)),
-                Box::new(AssumePlan::stage(r, false)),
-            ),
-            Expr::Binary(BinOp::Or, l, r) if expected => AssumePlan::Join(
-                Box::new(AssumePlan::stage(l, true)),
-                Box::new(AssumePlan::stage(r, true)),
-            ),
-            Expr::Binary(BinOp::Or, l, r) => AssumePlan::Seq(
-                Box::new(AssumePlan::stage(l, false)),
-                Box::new(AssumePlan::stage(r, false)),
-            ),
-            Expr::Binary(op, l, r) if op.is_comparison() => {
-                let op = if expected {
-                    *op
-                } else {
-                    op.negate_comparison().expect("comparison")
-                };
-                AssumePlan::stage_cmp(op, l, r)
-            }
-            _ => AssumePlan::Keep,
-        }
-    }
-
-    /// Mirrors `assume_cmp`'s state-independent prefix. Every `?` here
-    /// fires before `assume_cmp` touches the (cloned) state, so mapping
-    /// failure to [`AssumePlan::Keep`] reproduces `refine`'s
-    /// `None => self.clone()` exactly — except `Eq`'s second bound,
-    /// which `assume_cmp` computes lazily after the first `add_sum_le`
-    /// and therefore cannot be hoisted (see [`AssumePlan::Raw`]).
-    fn stage_cmp(op: BinOp, l: &Expr, r: &Expr) -> AssumePlan {
-        let extract = || -> Option<Vec<SumLeArgs>> {
-            let (lt, lc) = linear_terms(l)?;
-            let (rt, rc) = linear_terms(r)?;
-            let mut terms = lt;
-            for (s, v) in rt {
-                terms.push((-s, v));
-            }
-            let (terms, k) = merge_terms(terms)?;
-            let base = rc.checked_sub(lc)?;
-            let neg = |terms: &[(i64, Symbol)]| -> Vec<(i64, Symbol)> {
-                terms.iter().map(|(s, v)| (-s, v.clone())).collect()
-            };
-            Some(match op {
-                BinOp::Lt => vec![(terms, k, base.checked_sub(1)?)],
-                BinOp::Le => vec![(terms, k, base)],
-                BinOp::Gt => {
-                    let n = neg(&terms);
-                    vec![(n, k, base.checked_neg()?.checked_sub(1)?)]
-                }
-                BinOp::Ge => {
-                    let n = neg(&terms);
-                    vec![(n, k, base.checked_neg()?)]
-                }
-                BinOp::Eq => match base.checked_neg() {
-                    Some(nb) => {
-                        let n = neg(&terms);
-                        vec![(terms, k, base), (n, k, nb)]
-                    }
-                    // `assume_cmp` only evaluates this negation after the
-                    // first constraint is added; defer to the interpreter.
-                    None => return None,
-                },
-                BinOp::Ne => Vec::new(), // disjunctive; sound to skip
-                _ => return None,
-            })
-        };
-        match extract() {
-            Some(adds) => AssumePlan::Cmp(adds),
-            // Distinguish "extraction failed before any state was
-            // touched" (→ clone, like `refine`) from the lazy-`Eq`
-            // overflow (→ interpret the leaf). The former is every case
-            // where a `?` above fires on expression-only data; only the
-            // `Eq` branch returns `None` with state-order significance.
-            None => {
-                if op == BinOp::Eq && Self::eq_bound_is_lazy(l, r) {
-                    AssumePlan::Raw(op, l.clone(), r.clone())
-                } else {
-                    AssumePlan::Keep
-                }
-            }
-        }
-    }
-
-    /// True iff `l == r` extracts cleanly up to `base` but
-    /// `base.checked_neg()` overflows — the one failure `assume_cmp`
-    /// reaches only after mutating its working copy.
-    fn eq_bound_is_lazy(l: &Expr, r: &Expr) -> bool {
-        let probe = || -> Option<i64> {
-            let (lt, lc) = linear_terms(l)?;
-            let (rt, rc) = linear_terms(r)?;
-            let mut terms = lt;
-            for (s, v) in rt {
-                terms.push((-s, v));
-            }
-            merge_terms(terms)?;
-            rc.checked_sub(lc)
-        };
-        matches!(probe(), Some(base) if base.checked_neg().is_none())
-    }
-
-    /// Applies the staged plan; branch-for-branch equal to
-    /// `refine(cond, expected)` on the staged `(cond, expected)`.
-    fn apply(&self, pre: &OctagonDomain) -> OctagonDomain {
-        if pre.is_bottom() {
-            return OctagonDomain::Bottom;
-        }
-        match self {
-            AssumePlan::Const(true) | AssumePlan::Keep => pre.clone(),
-            AssumePlan::Const(false) => OctagonDomain::Bottom,
-            AssumePlan::Cmp(adds) => {
-                let o = match pre {
-                    OctagonDomain::Bottom => return OctagonDomain::Bottom,
-                    OctagonDomain::Oct(o) => o,
-                };
-                // Staged fast path: on a closed, consistent octagon that
-                // already implies every staged constraint, `add_sum_le`
-                // tightens nothing and `close` is a no-op, so the
-                // interpreter's result is bit-equal to the pre-state —
-                // share it instead of copying the matrix. (This is the
-                // warm-path common case: at a converged fixpoint, loop
-                // guards no longer tighten anything.) The interpreter
-                // cannot make this check without first re-extracting the
-                // constraints, which is exactly what staging hoisted.
-                if o.is_closed()
-                    && !o.has_negative_diagonal()
-                    && adds
-                        .iter()
-                        .all(|(terms, k, bound)| o.implies_sum_le(terms, *k, *bound))
-                {
-                    return OctagonDomain::Oct(Arc::clone(o));
-                }
-                let mut out = Oct::clone(o);
-                // Sequential-with-break mirrors `assume_cmp`'s
-                // short-circuiting `&&` (a failed first `Eq` constraint
-                // skips the second).
-                let mut ok = true;
-                for (terms, k, bound) in adds {
-                    if !add_sum_le(&mut out, terms, *k, *bound) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok || !out.close() {
-                    OctagonDomain::Bottom
-                } else {
-                    OctagonDomain::Oct(Arc::new(out))
-                }
-            }
-            AssumePlan::Raw(op, l, r) => match pre.assume_cmp(*op, l, r) {
-                Some(s) => s,
-                None => pre.clone(),
-            },
-            AssumePlan::Seq(a, b) => b.apply(&a.apply(pre)),
-            AssumePlan::Join(a, b) => a.apply(pre).join(&b.apply(pre)),
-        }
-    }
-}
-
 /// Conservative check that an expression always evaluates to an integer
 /// (when it evaluates at all).
 fn expr_definitely_numeric(e: &Expr) -> bool {
@@ -1745,6 +1472,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn implied_guard_shares_the_input_state() {
+        let s = assume(&assume(&OctagonDomain::top(), "0 <= i"), "i <= 5");
+        let OctagonDomain::Oct(o) = &s else {
+            panic!("satisfiable guard gave bottom");
+        };
+        assert!(o.is_closed());
+        let kept = s.refine(&parse_expr("i < 10").unwrap(), true);
+        let OctagonDomain::Oct(k) = &kept else {
+            panic!("implied guard gave bottom");
+        };
+        assert!(Arc::ptr_eq(o, k), "implied guard must not copy the matrix");
+
+        let tightened = s.refine(&parse_expr("i < 3").unwrap(), true);
+        let OctagonDomain::Oct(t) = &tightened else {
+            panic!("satisfiable guard gave bottom");
+        };
+        assert!(!Arc::ptr_eq(o, t));
+        assert_eq!(tightened.interval_of("i"), Interval::of(0, 2));
     }
 
     #[test]

@@ -103,21 +103,6 @@ impl<A: AbstractDomain, B: AbstractDomain> AbstractDomain for Prod<A, B> {
         Prod::new(self.0.transfer(stmt), self.1.transfer(stmt))
     }
 
-    /// Pairwise staging: compiles only when *both* components compile, so
-    /// the compiled/interpreted accounting never reports a half-staged
-    /// pair. Bit-identity is inherited: `transfer` is defined as the
-    /// smashed pair of component transfers, and each staged component is
-    /// bit-identical to its interpreter by the [`crate::compile`]
-    /// contract.
-    fn compile_transfer(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        let a = A::compile_transfer(stmt)?;
-        let b = B::compile_transfer(stmt)?;
-        Some(crate::compile::CompiledTransfer::new(
-            a.shape(),
-            move |pre: &Prod<A, B>| Prod::new(a.apply(&pre.0), b.apply(&pre.1)),
-        ))
-    }
-
     fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {
         Prod::new(
             self.0.call_entry(site, callee_params),

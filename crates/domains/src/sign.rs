@@ -516,97 +516,6 @@ impl fmt::Display for SignDomain {
 }
 
 /// Evaluates the sign of `expr` in `env`.
-impl crate::compile::CompileTransfer for SignDomain {
-    fn stage(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        use crate::compile::{CompiledTransfer, TransferShape};
-        match stmt {
-            Stmt::Skip | Stmt::Print(_) => Some(CompiledTransfer::new(
-                TransferShape::Identity,
-                |pre: &SignDomain| match pre {
-                    SignDomain::Env(_) => pre.clone(),
-                    SignDomain::Bottom => SignDomain::Bottom,
-                },
-            )),
-            Stmt::Assign(x, e) => {
-                let x = x.clone();
-                match e {
-                    // Literal right-hand sides evaluate the same in every
-                    // environment: stage the abstract value itself.
-                    Expr::Int(_) | Expr::Bool(_) | Expr::Null => {
-                        let v = eval_sign(&BTreeMap::new(), e);
-                        Some(CompiledTransfer::new(
-                            TransferShape::ConstAssign,
-                            move |pre: &SignDomain| match pre {
-                                SignDomain::Env(_) => pre.with_binding(&x, v),
-                                SignDomain::Bottom => SignDomain::Bottom,
-                            },
-                        ))
-                    }
-                    _ => {
-                        let shape = if matches!(e, Expr::Var(_)) {
-                            TransferShape::CopyAssign
-                        } else {
-                            TransferShape::Assign
-                        };
-                        let e = e.clone();
-                        Some(CompiledTransfer::new(shape, move |pre: &SignDomain| {
-                            let SignDomain::Env(env) = pre else {
-                                return SignDomain::Bottom;
-                            };
-                            pre.with_binding(&x, eval_sign(env, &e))
-                        }))
-                    }
-                }
-            }
-            Stmt::ArrayWrite(a, i, _) => {
-                let a = a.clone();
-                let i = i.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &SignDomain| {
-                        let SignDomain::Env(env) = pre else {
-                            return SignDomain::Bottom;
-                        };
-                        if eval_sign(env, &i).as_num().is_bottom() {
-                            return SignDomain::Bottom;
-                        }
-                        if env.contains_key(&a) {
-                            return SignDomain::Bottom;
-                        }
-                        pre.clone()
-                    },
-                ))
-            }
-            Stmt::FieldWrite(x, _, _) => {
-                let x = x.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::HeapWrite,
-                    move |pre: &SignDomain| {
-                        let SignDomain::Env(env) = pre else {
-                            return SignDomain::Bottom;
-                        };
-                        if env.contains_key(&x) {
-                            return SignDomain::Bottom;
-                        }
-                        pre.clone()
-                    },
-                ))
-            }
-            Stmt::Assume(e) => {
-                let e = e.clone();
-                Some(CompiledTransfer::new(
-                    TransferShape::Assume,
-                    move |pre: &SignDomain| match pre {
-                        SignDomain::Env(_) => pre.refine(&e, true),
-                        SignDomain::Bottom => SignDomain::Bottom,
-                    },
-                ))
-            }
-            Stmt::Call { .. } => None,
-        }
-    }
-}
-
 fn eval_sign(env: &BTreeMap<Symbol, Sign>, expr: &Expr) -> SVal {
     match expr {
         Expr::Int(n) => SVal::Num(Sign::of(*n)),
@@ -740,10 +649,6 @@ impl AbstractDomain for SignDomain {
                 None => self.clone(),
             },
         }
-    }
-
-    fn compile_transfer(stmt: &Stmt) -> Option<crate::compile::CompiledTransfer<Self>> {
-        <SignDomain as crate::compile::CompileTransfer>::stage(stmt)
     }
 
     fn call_entry(&self, site: CallSite<'_>, callee_params: &[Symbol]) -> Self {

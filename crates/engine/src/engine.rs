@@ -37,7 +37,6 @@
 //! a failed edit still advances the fence, which is sound because it
 //! changed nothing).
 
-use dai_core::compile::TransferMode;
 use dai_core::driver::ProgramEdit;
 use dai_core::explain::{CellOutcome, ExplainReport, ExplainSink};
 use dai_core::graph::{DaigError, Value};
@@ -84,10 +83,6 @@ pub struct EngineConfig {
     /// Call-resolution backend applied to every session (see
     /// [`ResolverChoice`]).
     pub resolver: ResolverChoice,
-    /// Transfer-evaluation mode applied to every session: staged
-    /// per-edge closures (the default) or the AST interpreter (see
-    /// [`dai_core::compile`]). Both are bit-identical on every value.
-    pub transfer: TransferMode,
     /// Fsync policy for snapshot saves (and, unless overridden in the
     /// [`JournalConfig`] handed to [`Engine::open_journal`], journal
     /// appends). `Fast` keeps the historical tmp+rename-only behavior.
@@ -102,7 +97,6 @@ impl Default for EngineConfig {
             memo_capacity: None,
             strategy: FixStrategy::PAPER,
             resolver: ResolverChoice::Intra,
-            transfer: TransferMode::Compiled,
             durability: Durability::Fast,
         }
     }
@@ -630,10 +624,6 @@ impl EngineStats {
             .set(self.query_stats.cone_walks);
         m.gauge("dai_query_cone_cells")
             .set(self.query_stats.cone_cells);
-        m.gauge("dai_transfer_compiled_total")
-            .set(self.query_stats.transfers_compiled);
-        m.gauge("dai_transfer_interp_fallback_total")
-            .set(self.query_stats.transfers_interp);
         m.gauge("dai_explain_reports").set(self.explain.reports);
         m.gauge("dai_explain_cells").set(self.explain.cells);
         m.gauge("dai_explain_fixes").set(self.explain.fixes);
@@ -674,8 +664,7 @@ impl EngineStats {
              \"union_cone_walks\":{}}},\
              \"query_stats\":{{\"computed\":{},\"memo_matched\":{},\
              \"reused\":{},\"unrolls\":{},\"fix_converged\":{},\
-             \"cone_walks\":{},\"cone_cells\":{},\
-             \"transfers_compiled\":{},\"transfers_interp\":{}}},\
+             \"cone_walks\":{},\"cone_cells\":{}}},\
              \"explain\":{{\"reports\":{},\"cells\":{},\"fixes\":{},\
              \"work_ns\":{},\"span_ns\":{},\"computed_ns\":{},\
              \"memo_matched_ns\":{},\"fix_ns\":{},\"domains\":{{{}}}}},\
@@ -704,8 +693,6 @@ impl EngineStats {
             self.query_stats.fix_converged,
             self.query_stats.cone_walks,
             self.query_stats.cone_cells,
-            self.query_stats.transfers_compiled,
-            self.query_stats.transfers_interp,
             self.explain.reports,
             self.explain.cells,
             self.explain.fixes,
@@ -818,7 +805,6 @@ struct EngineShared<D: AbstractDomain> {
     memo: SharedMemoTable<Value<D>>,
     strategy: FixStrategy,
     resolver: ResolverChoice,
-    transfer: TransferMode,
     next_session: AtomicU64,
     queries: AtomicU64,
     edits: AtomicU64,
@@ -887,7 +873,6 @@ impl<D: PersistDomain> Engine<D> {
                 memo,
                 strategy: config.strategy,
                 resolver: config.resolver,
-                transfer: config.transfer,
                 next_session: AtomicU64::new(1),
                 queries: AtomicU64::new(0),
                 edits: AtomicU64::new(0),
@@ -930,7 +915,6 @@ impl<D: PersistDomain> Engine<D> {
             program,
             self.shared.strategy,
             self.shared.resolver,
-            self.shared.transfer,
             None,
         ))
     }
@@ -956,7 +940,6 @@ impl<D: PersistDomain> Engine<D> {
             program,
             self.shared.strategy,
             self.shared.resolver,
-            self.shared.transfer,
             Some(source.to_string()),
         ));
         journal_open(&self.shared, id, &name, source);
@@ -1260,13 +1243,7 @@ impl<D: PersistDomain> Engine<D> {
             .lock()
             .expect("stats poisoned")
             .absorb(work);
-        let report = sink.finish_report(
-            D::domain_tag(),
-            self.shared.transfer.as_str().to_string(),
-            lock_wait_ns,
-            lock_held_ns,
-            eval_ns,
-        );
+        let report = sink.finish_report(D::domain_tag(), lock_wait_ns, lock_held_ns, eval_ns);
         explain_span.set_arg(report.cells.len() as u64);
         drop(explain_span);
         // Per-domain evaluation latency: one histogram per domain tag,
@@ -1478,7 +1455,6 @@ impl<D: PersistDomain> Engine<D> {
                     program,
                     shared.strategy,
                     shared.resolver,
-                    shared.transfer,
                     Some(source.clone()),
                 );
                 session.set_replica(replica);
@@ -1526,8 +1502,7 @@ impl<D: PersistDomain> Engine<D> {
                     Some(policy) => ResolverChoice::Interproc { policy },
                     None => ResolverChoice::Intra,
                 };
-                let (mut session, _, _) =
-                    Session::restore(image, restore_resolver, shared.transfer, &report)?;
+                let (mut session, _, _) = Session::restore(image, restore_resolver, &report)?;
                 session.set_replica(replica);
                 if !matches!(restore_resolver, ResolverChoice::Interproc { .. }) {
                     for (k, v) in memo_entries {
@@ -2274,8 +2249,7 @@ fn process<D: PersistDomain>(
                 Some(policy) => ResolverChoice::Interproc { policy },
                 None => ResolverChoice::Intra,
             };
-            let (session, installed, dropped) =
-                Session::restore(image, restore_resolver, shared.transfer, &report)?;
+            let (session, installed, dropped) = Session::restore(image, restore_resolver, &report)?;
             // Import the memo section into the engine-wide shared table.
             // Entries are keyed by content hashes of their inputs, so
             // importing them alongside live traffic is exactly as sound

@@ -39,13 +39,12 @@
 //! would have.
 
 use dai_core::analysis::FuncAnalysis;
-use dai_core::compile::TransferTable;
 use dai_core::explain::ExplainSink;
 use dai_core::graph::{Daig, DaigError, Func, Value};
 use dai_core::intern::CellId;
 use dai_core::name::Name;
 use dai_core::query::{
-    apply_ready_at_with, apply_ready_with, collect_ready_id, fix_step_id, CallResolver, FixOutcome,
+    apply_ready, apply_ready_at, collect_ready_id, fix_step_id, CallResolver, FixOutcome,
     QueryStats, ReadyComp,
 };
 use dai_domains::AbstractDomain;
@@ -213,9 +212,8 @@ where
     R: CallResolver<D> + Clone + Send + Sync + 'static,
 {
     // Split borrow: the CFG is read-only for the whole evaluation, so fix
-    // resolution never clones it, and the staged transfer table rides
-    // along for compiled evaluation.
-    let (cfg, daig, transfers) = fa.sched_parts_mut();
+    // resolution never clones it.
+    let (cfg, daig) = fa.parts_mut();
     let mut pending: Vec<CellId> = Vec::new();
     for t in targets {
         match daig.id_of(t) {
@@ -235,9 +233,7 @@ where
     if pending.is_empty() {
         return Ok(());
     }
-    evaluate_pending(
-        daig, cfg, &pending, memo, resolver, pool, stats, transfers, sink,
-    )
+    evaluate_pending(daig, cfg, &pending, memo, resolver, pool, stats, sink)
 }
 
 /// The drain loop over resolved, unfilled target ids.
@@ -250,7 +246,6 @@ fn evaluate_pending<D, R>(
     resolver: &R,
     pool: &PoolHandle,
     stats: &mut QueryStats,
-    transfers: Option<&TransferTable<D>>,
     mut sink: Option<&mut ExplainSink>,
 ) -> Result<(), DaigError>
 where
@@ -311,14 +306,12 @@ where
                     if let Some(s) = sink.as_deref_mut() {
                         let before = *stats;
                         let t0 = std::time::Instant::now();
-                        let v =
-                            apply_ready_at_with(daig, id, &mut memo, &mut res, stats, transfers)?;
+                        let v = apply_ready_at(daig, id, &mut memo, &mut res, stats)?;
                         let wall_ns = t0.elapsed().as_nanos() as u64;
                         s.record_applied(daig, id, &stats.delta(&before), wall_ns);
                         daig.write_id(id, v);
                     } else {
-                        let v =
-                            apply_ready_at_with(daig, id, &mut memo, &mut res, stats, transfers)?;
+                        let v = apply_ready_at(daig, id, &mut memo, &mut res, stats)?;
                         daig.write_id(id, v);
                     }
                     settle_write(daig, id, &mut cone, &mut ready);
@@ -330,9 +323,6 @@ where
                     .collect::<Result<_, _>>()?;
                 let shared = memo.clone();
                 let res0 = resolver.clone();
-                // Cheap fan-out: the table is an `Arc` snapshot, so each
-                // worker closure shares one staged-closure store.
-                let table = transfers.cloned();
                 // Per-cell timestamps are taken only when a sink is
                 // attached, so the plain path stays timestamp-free.
                 let timed = sink.is_some();
@@ -345,8 +335,7 @@ where
                     let mut memo = shared.clone();
                     let mut res = res0.clone();
                     let t0 = timed.then(std::time::Instant::now);
-                    let value =
-                        apply_ready_with(rc, &mut memo, &mut res, &mut local, table.as_ref());
+                    let value = apply_ready(rc, &mut memo, &mut res, &mut local);
                     let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     (rc.dest_id, value, local, wall_ns)
                 });

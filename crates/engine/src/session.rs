@@ -38,7 +38,6 @@
 //! sound — restore just recomputes on demand.
 
 use dai_core::analysis::{resolve_loc_frontier, FuncAnalysis, LocResolution};
-use dai_core::compile::TransferMode;
 use dai_core::dot::{to_dot, DotOptions};
 use dai_core::driver::ProgramEdit;
 use dai_core::explain::ExplainSink;
@@ -140,9 +139,6 @@ pub struct Session<D: AbstractDomain> {
     name: String,
     program: LoweredProgram,
     strategy: FixStrategy,
-    /// Transfer-evaluation mode applied to every unit this session
-    /// creates (staged closures vs. the AST interpreter; bit-identical).
-    transfer: TransferMode,
     /// The program's original source text, when known; with `history`,
     /// the replayable description persistence saves.
     source: Option<String>,
@@ -167,7 +163,6 @@ fn make_backend<D: AbstractDomain>(
     resolver: ResolverChoice,
     program: &LoweredProgram,
     strategy: FixStrategy,
-    transfer: TransferMode,
 ) -> Backend<D> {
     match resolver {
         ResolverChoice::Intra => Backend::Intra {
@@ -180,13 +175,12 @@ fn make_backend<D: AbstractDomain>(
             };
             Backend::Inter {
                 policy,
-                analyzer: Box::new(InterAnalyzer::with_config(
+                analyzer: Box::new(InterAnalyzer::with_strategy(
                     program.clone(),
                     policy,
                     &entry,
                     phi0,
                     strategy,
-                    transfer,
                 )),
             }
         }
@@ -197,33 +191,24 @@ impl<D: AbstractDomain> Session<D> {
     /// Creates an intraprocedural session over `program` under the given
     /// iteration strategy, with no replayable source (not saveable).
     pub fn new(name: impl Into<String>, program: LoweredProgram, strategy: FixStrategy) -> Self {
-        Session::with_config(
-            name,
-            program,
-            strategy,
-            ResolverChoice::Intra,
-            TransferMode::default(),
-            None,
-        )
+        Session::with_config(name, program, strategy, ResolverChoice::Intra, None)
     }
 
-    /// Creates a session with an explicit resolver choice, transfer mode,
-    /// and (optionally) the program's source text, which makes the
-    /// session saveable.
+    /// Creates a session with an explicit resolver choice and
+    /// (optionally) the program's source text, which makes the session
+    /// saveable.
     pub fn with_config(
         name: impl Into<String>,
         program: LoweredProgram,
         strategy: FixStrategy,
         resolver: ResolverChoice,
-        transfer: TransferMode,
         source: Option<String>,
     ) -> Self {
-        let backend = make_backend(resolver, &program, strategy, transfer);
+        let backend = make_backend(resolver, &program, strategy);
         Session {
             name: name.into(),
             program,
             strategy,
-            transfer,
             source,
             history: Vec::new(),
             backend,
@@ -300,7 +285,6 @@ impl<D: AbstractDomain> Session<D> {
         units: &'u mut HashMap<Symbol, Unit<D>>,
         program: &LoweredProgram,
         strategy: FixStrategy,
-        transfer: TransferMode,
         func: &str,
     ) -> Result<&'u mut Unit<D>, EngineError> {
         let sym = Symbol::new(func);
@@ -313,7 +297,7 @@ impl<D: AbstractDomain> Session<D> {
             units.insert(
                 sym.clone(),
                 Unit {
-                    fa: FuncAnalysis::with_config(cfg, phi0, strategy, transfer),
+                    fa: FuncAnalysis::with_strategy(cfg, phi0, strategy),
                     resolved: HashMap::new(),
                 },
             );
@@ -416,13 +400,7 @@ impl<D: AbstractDomain> Session<D> {
         self.queries += locs.len() as u64;
         match &mut self.backend {
             Backend::Intra { units } => {
-                let unit = match Self::unit_mut(
-                    units,
-                    &self.program,
-                    self.strategy,
-                    self.transfer,
-                    func,
-                ) {
+                let unit = match Self::unit_mut(units, &self.program, self.strategy, func) {
                     Ok(unit) => unit,
                     Err(_) => {
                         return locs
@@ -797,7 +775,6 @@ impl<D: PersistDomain> Session<D> {
     pub fn restore(
         image: SessionImage<D>,
         resolver: ResolverChoice,
-        transfer: TransferMode,
         report: &RestoreReport,
     ) -> Result<(Session<D>, usize, usize), EngineError> {
         let program = dai_lang::parse_program(&image.source)
@@ -808,7 +785,6 @@ impl<D: PersistDomain> Session<D> {
             program,
             image.strategy,
             resolver,
-            transfer,
             Some(image.source),
         );
         for edit in &image.edits {
@@ -858,14 +834,10 @@ impl<D: PersistDomain> Session<D> {
                     dropped += 1;
                     continue;
                 }
-                // `from_parts` restages transfers under the default mode;
-                // align the unit with the session's configured one.
-                let mut fa = FuncAnalysis::from_parts(cfg.clone(), f.daig, f.entry);
-                fa.set_transfer_mode(transfer);
                 units.insert(
                     f.func.clone(),
                     Unit {
-                        fa,
+                        fa: FuncAnalysis::from_parts(cfg.clone(), f.daig, f.entry),
                         resolved: HashMap::new(),
                     },
                 );

@@ -246,8 +246,6 @@ mod tests {
                 fix_converged: 6,
                 cone_walks: 5,
                 cone_cells: 400,
-                transfers_compiled: 45,
-                transfers_interp: 5,
             },
             explain: ExplainStats {
                 reports: 2,

@@ -18,8 +18,9 @@ use crate::wire::{bad_tag, Persist};
 pub const EXPLAIN_FRAME_TAG: [u8; 4] = *b"EXPL";
 
 /// Version of the explain payload encoding inside an
-/// [`EXPLAIN_FRAME_TAG`] frame.
-pub const EXPLAIN_FRAME_VERSION: u16 = 1;
+/// [`EXPLAIN_FRAME_TAG`] frame. Version 2 dropped the report's transfer
+/// mode and each cell's compiled flag.
+pub const EXPLAIN_FRAME_VERSION: u16 = 2;
 
 impl Persist for CellOutcome {
     fn put(&self, w: &mut Writer) {
@@ -44,7 +45,6 @@ impl Persist for CellCost {
     fn put(&self, w: &mut Writer) {
         self.cell.put(w);
         self.outcome.put(w);
-        self.compiled.put(w);
         w.u64(self.wall_ns);
         w.u64(self.finish_ns);
     }
@@ -53,7 +53,6 @@ impl Persist for CellCost {
         Ok(CellCost {
             cell: String::get(r)?,
             outcome: CellOutcome::get(r)?,
-            compiled: bool::get(r)?,
             wall_ns: r.u64()?,
             finish_ns: r.u64()?,
         })
@@ -83,7 +82,6 @@ impl Persist for FixCost {
 impl Persist for ExplainReport {
     fn put(&self, w: &mut Writer) {
         self.domain.put(w);
-        self.transfer.put(w);
         self.cells.put(w);
         self.fixes.put(w);
         w.u64(self.work_ns);
@@ -96,7 +94,6 @@ impl Persist for ExplainReport {
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let report = ExplainReport {
             domain: String::get(r)?,
-            transfer: String::get(r)?,
             cells: Vec::<CellCost>::get(r)?,
             fixes: Vec::<FixCost>::get(r)?,
             work_ns: r.u64()?,
@@ -192,26 +189,22 @@ mod tests {
     fn sample_report() -> ExplainReport {
         ExplainReport {
             domain: "octagon".to_string(),
-            transfer: "compiled".to_string(),
             cells: vec![
                 CellCost {
                     cell: "f:l3:sigma".to_string(),
                     outcome: CellOutcome::Computed,
-                    compiled: true,
                     wall_ns: 900,
                     finish_ns: 900,
                 },
                 CellCost {
                     cell: "f:l4:sigma".to_string(),
                     outcome: CellOutcome::MemoMatched,
-                    compiled: false,
                     wall_ns: 100,
                     finish_ns: 1_000,
                 },
                 CellCost {
                     cell: "f:l5:sigma".to_string(),
                     outcome: CellOutcome::Reused,
-                    compiled: false,
                     wall_ns: 0,
                     finish_ns: 0,
                 },
@@ -240,6 +233,18 @@ mod tests {
         // Re-encoding the decoded report reproduces the frame exactly —
         // the byte-identity the RPC end-to-end test relies on.
         assert_eq!(encode_explain_frame(&back), bytes);
+    }
+
+    #[test]
+    fn version_1_frames_are_unsupported() {
+        let mut w = Writer::new();
+        sample_report().put(&mut w);
+        let mut old = Vec::new();
+        write_frame(&mut old, EXPLAIN_FRAME_TAG, 1, &w.into_bytes());
+        assert!(matches!(
+            decode_explain_frame(&old),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]

@@ -213,8 +213,6 @@ impl Persist for dai_core::query::QueryStats {
         w.u64(self.fix_converged);
         w.u64(self.cone_walks);
         w.u64(self.cone_cells);
-        w.u64(self.transfers_compiled);
-        w.u64(self.transfers_interp);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -226,8 +224,6 @@ impl Persist for dai_core::query::QueryStats {
             fix_converged: r.u64()?,
             cone_walks: r.u64()?,
             cone_cells: r.u64()?,
-            transfers_compiled: r.u64()?,
-            transfers_interp: r.u64()?,
         })
     }
 }

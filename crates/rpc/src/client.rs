@@ -729,7 +729,7 @@ impl<D: PersistDomain> Service<D> for Client<D> {
 
     fn stats(&self) -> Result<EngineStats, EngineError> {
         match self.call_ok(&WireRequest::Stats)? {
-            WireResponse::Stats(stats) => Ok(stats),
+            WireResponse::Stats(stats) => Ok(*stats),
             other => Err(transport_err(format!("unexpected response {other:?}"))),
         }
     }

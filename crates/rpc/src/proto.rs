@@ -300,8 +300,9 @@ pub enum WireResponse {
         outcome: PersistOutcome,
     },
     /// Engine statistics (the full [`EngineStats`], batch and persist
-    /// counters included).
-    Stats(EngineStats),
+    /// counters included), boxed like the engine's own
+    /// `Response::Stats`.
+    Stats(Box<EngineStats>),
     /// A handoff completed.
     Released {
         /// `true` when this connection owned the session (it no longer
@@ -873,7 +874,7 @@ impl Persist for WireResponse {
                 session: r.u64()?,
                 outcome: PersistOutcome::get(r)?,
             },
-            9 => WireResponse::Stats(EngineStats::get(r)?),
+            9 => WireResponse::Stats(Box::new(EngineStats::get(r)?)),
             10 => WireResponse::Released {
                 owned: bool::get(r)?,
             },
@@ -1047,11 +1048,9 @@ mod tests {
         roundtrip(&WireResponse::Explain(ExplainReport::default()));
         roundtrip(&WireResponse::Explain(ExplainReport {
             domain: "interval".to_string(),
-            transfer: "compiled".to_string(),
             cells: vec![dai_engine::CellCost {
                 cell: "main:l2:sigma".to_string(),
                 outcome: dai_engine::CellOutcome::Computed,
-                compiled: true,
                 wall_ns: 320,
                 finish_ns: 320,
             }],

@@ -358,15 +358,7 @@ fn merge_stats(into: &mut EngineStats, s: &EngineStats) {
     into.batch.singleton_queries += s.batch.singleton_queries;
     into.batch.union_cone_cells += s.batch.union_cone_cells;
     into.batch.union_cone_walks += s.batch.union_cone_walks;
-    into.query_stats.computed += s.query_stats.computed;
-    into.query_stats.memo_matched += s.query_stats.memo_matched;
-    into.query_stats.reused += s.query_stats.reused;
-    into.query_stats.unrolls += s.query_stats.unrolls;
-    into.query_stats.fix_converged += s.query_stats.fix_converged;
-    into.query_stats.cone_walks += s.query_stats.cone_walks;
-    into.query_stats.cone_cells += s.query_stats.cone_cells;
-    into.query_stats.transfers_compiled += s.query_stats.transfers_compiled;
-    into.query_stats.transfers_interp += s.query_stats.transfers_interp;
+    into.query_stats.absorb(s.query_stats);
     into.explain.reports += s.explain.reports;
     into.explain.cells += s.explain.cells;
     into.explain.fixes += s.explain.fixes;

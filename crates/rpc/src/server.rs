@@ -1386,7 +1386,7 @@ fn response_to_wire<D: PersistDomain>(
                 outcome,
             }
         }
-        Ok(Response::Stats(stats)) => WireResponse::Stats(*stats),
+        Ok(Response::Stats(stats)) => WireResponse::Stats(stats),
     }
 }
 

@@ -53,7 +53,7 @@ use dai_core::dot::{to_dot, DotOptions};
 use dai_core::driver::ProgramEdit;
 use dai_core::interproc::{ContextPolicy, InterAnalyzer};
 use dai_core::strategy::FixStrategy;
-use dai_core::{Context, TransferMode};
+use dai_core::Context;
 use dai_domains::{
     AbstractDomain, ConstDomain, IntervalDomain, OctagonDomain, ShapeDomain, SignDomain,
 };
@@ -71,7 +71,6 @@ fn main() {
     let mut policy = ContextPolicy::CallString(1);
     let mut threads: usize = 1;
     let mut interproc_serve = false;
-    let mut transfer = TransferMode::default();
     let mut path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
@@ -105,18 +104,11 @@ fn main() {
                     _ => die("--resolver takes intra|interproc"),
                 }
             }
-            "--transfer" => {
-                i += 1;
-                transfer = args
-                    .get(i)
-                    .and_then(|s| TransferMode::parse(s))
-                    .unwrap_or_else(|| die("--transfer takes compiled|interp"));
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: dai-repl [--domain interval|octagon|sign|const|shape] \
                      [--insensitive | --call-strings K] [--threads N] \
-                     [--resolver intra|interproc] [--transfer compiled|interp] FILE"
+                     [--resolver intra|interproc] FILE"
                 );
                 return;
             }
@@ -135,39 +127,16 @@ fn main() {
             policy,
             threads,
             interproc_serve,
-            transfer,
             IntervalDomain::top(),
         ),
-        "octagon" => repl(
-            &src,
-            policy,
-            threads,
-            interproc_serve,
-            transfer,
-            OctagonDomain::top(),
-        ),
-        "sign" => repl(
-            &src,
-            policy,
-            threads,
-            interproc_serve,
-            transfer,
-            SignDomain::top(),
-        ),
-        "const" => repl(
-            &src,
-            policy,
-            threads,
-            interproc_serve,
-            transfer,
-            ConstDomain::top(),
-        ),
+        "octagon" => repl(&src, policy, threads, interproc_serve, OctagonDomain::top()),
+        "sign" => repl(&src, policy, threads, interproc_serve, SignDomain::top()),
+        "const" => repl(&src, policy, threads, interproc_serve, ConstDomain::top()),
         "shape" => repl(
             &src,
             policy,
             threads,
             interproc_serve,
-            transfer,
             ShapeDomain::top_state(),
         ),
         other => die(&format!(
@@ -312,7 +281,6 @@ struct ReplSession<D: AbstractDomain> {
     history: Vec<ProgramEdit>,
     policy: ContextPolicy,
     strategy: FixStrategy,
-    transfer: TransferMode,
     entry: String,
     phi0: D,
 }
@@ -322,7 +290,6 @@ impl<D: AbstractDomain> ReplSession<D> {
         source: &str,
         policy: ContextPolicy,
         strategy: FixStrategy,
-        transfer: TransferMode,
         phi0: D,
     ) -> Result<ReplSession<D>, String> {
         let program = dai_lang::parse_program(source)
@@ -334,19 +301,11 @@ impl<D: AbstractDomain> ReplSession<D> {
             .name()
             .to_string();
         Ok(ReplSession {
-            analyzer: InterAnalyzer::with_config(
-                program,
-                policy,
-                &entry,
-                phi0.clone(),
-                strategy,
-                transfer,
-            ),
+            analyzer: InterAnalyzer::with_strategy(program, policy, &entry, phi0.clone(), strategy),
             source: source.to_string(),
             history: Vec::new(),
             policy,
             strategy,
-            transfer,
             entry,
             phi0,
         })
@@ -403,13 +362,8 @@ impl<D: PersistDomain> ReplSession<D> {
         // from intraprocedural engine sessions carry no policy and adopt
         // the REPL's current one).
         let policy = image.policy.unwrap_or(self.policy);
-        let mut fresh = ReplSession::open(
-            &image.source,
-            policy,
-            image.strategy,
-            self.transfer,
-            self.phi0.clone(),
-        )?;
+        let mut fresh =
+            ReplSession::open(&image.source, policy, image.strategy, self.phi0.clone())?;
         for edit in &image.edits {
             fresh
                 .replay(edit)
@@ -438,14 +392,13 @@ fn repl<D: PersistDomain>(
     policy: ContextPolicy,
     threads: usize,
     interproc_serve: bool,
-    transfer: TransferMode,
     phi0: D,
 ) {
-    let mut session: ReplSession<D> =
-        match ReplSession::open(src, policy, FixStrategy::PAPER, transfer, phi0) {
-            Ok(s) => s,
-            Err(e) => die(&e),
-        };
+    let mut session: ReplSession<D> = match ReplSession::open(src, policy, FixStrategy::PAPER, phi0)
+    {
+        Ok(s) => s,
+        Err(e) => die(&e),
+    };
     println!(
         "loaded {} function(s); entry `{}`; type `help`",
         session.analyzer.program().cfgs().len(),
@@ -497,7 +450,6 @@ fn repl<D: PersistDomain>(
                 let engine: Engine<D> = Engine::with_config(EngineConfig {
                     workers: threads,
                     resolver: serve_resolver,
-                    transfer: session.transfer,
                     ..EngineConfig::default()
                 });
                 let targets = sweep_targets(analyzer.program());
@@ -522,7 +474,6 @@ fn repl<D: PersistDomain>(
                     None => Arc::new(Engine::with_config(EngineConfig {
                         workers: threads,
                         resolver: serve_resolver,
-                        transfer: session.transfer,
                         ..EngineConfig::default()
                     })),
                 };
@@ -847,7 +798,6 @@ fn repl<D: PersistDomain>(
                         let engine: Engine<D> = Engine::with_config(EngineConfig {
                             workers: threads,
                             resolver: serve_resolver,
-                            transfer: session.transfer,
                             ..EngineConfig::default()
                         });
                         explain_via_service(&engine, &session.source, &session.history, &targets)
@@ -903,7 +853,6 @@ fn repl<D: PersistDomain>(
                     let engine: Arc<Engine<D>> = Arc::new(Engine::with_config(EngineConfig {
                         workers: threads,
                         resolver: serve_resolver,
-                        transfer: session.transfer,
                         ..EngineConfig::default()
                     }));
                     match engine.open_journal(path, dai_engine::JournalConfig::default()) {
@@ -978,7 +927,6 @@ fn repl<D: PersistDomain>(
                         Arc::new(Engine::with_config(EngineConfig {
                             workers: threads,
                             resolver: serve_resolver,
-                            transfer: session.transfer,
                             ..EngineConfig::default()
                         }))
                     })

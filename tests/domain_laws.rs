@@ -6,14 +6,17 @@
 //! finite-height extensions (sign, constant propagation, products).
 
 use dai_domains::constprop::{Const, ConstDomain};
-use dai_domains::interval::{AbsVal, Interval};
+use dai_domains::interval::{AbsVal, Bound, Interval};
+use dai_domains::octagon::Oct;
 use dai_domains::sign::Sign;
 use dai_domains::{
     AbstractDomain, Bool3, IntervalDomain, OctagonDomain, Prod, ShapeDomain, SignDomain,
 };
 use dai_lang::interp::{ConcreteState, Value};
-use dai_lang::{parse_expr, Stmt, Symbol};
+use dai_lang::{parse_expr, BinOp, Expr, Stmt, Symbol, UnOp};
+use dai_memo::content_digest;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ---------- generators ----------
 
@@ -66,6 +69,90 @@ fn arb_octagon_state() -> impl Strategy<Value = OctagonDomain> {
         }
         s
     })
+}
+
+/// A comparison guard over the `arb_octagon_state` variables: which
+/// variables, comparison, form and polarity, plus an offset from the
+/// state's own bound (`octagon_guard` picks the bound), so guards land
+/// on both sides of implied.
+type GuardSpec = ((usize, usize), (usize, usize), (i64, bool), bool);
+
+fn arb_guard_spec() -> impl Strategy<Value = GuardSpec> {
+    (
+        (0usize..3, 0usize..3),
+        (0usize..6, 0usize..4),
+        (-1i64..2, any::<bool>()),
+        any::<bool>(),
+    )
+}
+
+/// Builds the guard `spec` describes against `s`: two-variable
+/// (`va op vb + c`, merging to `±2va` when `a == b`), one-variable
+/// (`±va op c`), or `va == i64::MIN`, whose negated bound overflows.
+/// `c` is the state's tightest bound on the left side (upper, or lower
+/// when `low`) plus `delta`.
+fn octagon_guard(s: &OctagonDomain, spec: GuardSpec) -> Expr {
+    let ((a, b), (op, form), (delta, low), negate) = spec;
+    let op = [
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+    ][op];
+    let (x, y) = (format!("v{a}"), format!("v{b}"));
+    let finite = |bound: Bound| match bound {
+        Bound::Fin(n) => n,
+        _ => 0,
+    };
+    // Tightest `x - y <= c` (or `y - x <= c`, negated, for the lower bound).
+    let diff = |x: &str, y: &str| (-30..=30).find(|&c| s.entails_diff_le(x, y, c));
+    let (op, l, r) = match form {
+        0 => {
+            let c = if low {
+                diff(&y, &x).map_or(0, |c| -c)
+            } else {
+                diff(&x, &y).unwrap_or(0)
+            };
+            let r = Expr::Binary(
+                BinOp::Add,
+                Box::new(Expr::var(y)),
+                Box::new(Expr::Int(c + delta)),
+            );
+            (op, Expr::var(x), r)
+        }
+        1 => {
+            let iv = s.interval_of(&x);
+            let c = finite(if low { iv.lo() } else { iv.hi() });
+            (op, Expr::var(x), Expr::Int(c + delta))
+        }
+        2 => {
+            let iv = s.interval_of(&x);
+            let c = -finite(if low { iv.hi() } else { iv.lo() });
+            let l = Expr::Unary(UnOp::Neg, Box::new(Expr::var(x)));
+            (op, l, Expr::Int(c + delta))
+        }
+        _ => (BinOp::Eq, Expr::var(x), Expr::Int(i64::MIN)),
+    };
+    let cmp = Expr::Binary(op, Box::new(l), Box::new(r));
+    if negate {
+        Expr::Unary(UnOp::Not, Box::new(cmp))
+    } else {
+        cmp
+    }
+}
+
+/// The same octagon with its closure flag cleared (`Oct::from_parts`
+/// always marks the matrix unclosed), so a guard on it takes the
+/// clone-tighten-close path instead of the implied-guard fast path.
+fn unclosed_copy(s: &OctagonDomain) -> OctagonDomain {
+    match s {
+        OctagonDomain::Bottom => OctagonDomain::Bottom,
+        OctagonDomain::Oct(o) => OctagonDomain::Oct(Arc::new(
+            Oct::from_parts(o.vars().to_vec(), o.dbm().to_vec()).expect("valid parts"),
+        )),
+    }
 }
 
 fn arb_sign() -> impl Strategy<Value = Sign> {
@@ -302,6 +389,21 @@ proptest! {
         if a.models(&c) || b.models(&c) {
             prop_assert!(j.models(&c));
         }
+    }
+}
+
+proptest! {
+    // Off-by-one guards are a small slice of the guard space: run enough
+    // cases to hit each comparison at the state's exact bound.
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    #[test]
+    fn octagon_implied_guard_fast_path_matches_tighten_and_close(s in arb_octagon_state(), spec in arb_guard_spec()) {
+        let guard = Stmt::Assume(octagon_guard(&s, spec));
+        let fast = s.transfer(&guard);
+        let slow = unclosed_copy(&s).transfer(&guard);
+        prop_assert_eq!(&fast, &slow, "guard {}", guard);
+        prop_assert_eq!(content_digest(&fast), content_digest(&slow));
     }
 }
 

@@ -27,18 +27,11 @@ fn initial_program() -> dai_lang::cfg::LoweredProgram {
 }
 
 /// Runs one randomized edit/query script through an engine with `workers`
-/// workers under `transfer`, asserting every answer against the batch
-/// oracle; returns the full answer trace for cross-worker-count (and
-/// cross-transfer-mode) comparison.
-fn run_script<D: PersistDomain>(
-    workers: usize,
-    seed: u64,
-    steps: usize,
-    transfer: dai_core::TransferMode,
-) -> Vec<D> {
+/// workers, asserting every answer against the batch oracle; returns the
+/// full answer trace for cross-worker-count comparison.
+fn run_script<D: PersistDomain>(workers: usize, seed: u64, steps: usize) -> Vec<D> {
     let engine: Engine<D> = Engine::with_config(EngineConfig {
         workers,
-        transfer,
         ..EngineConfig::default()
     });
     let session = engine.open_session(format!("seed-{seed}"), initial_program());
@@ -108,43 +101,29 @@ fn run_script<D: PersistDomain>(
 
 #[test]
 fn interval_engine_matches_batch_oracle_at_every_worker_count() {
-    use dai_core::TransferMode;
     for seed in [0xE11, 0xE12] {
-        // The 1-worker compiled trace anchors every other configuration:
-        // worker counts AND transfer modes must be bit-identical.
-        let reference = run_script::<IntervalDomain>(1, seed, 12, TransferMode::Compiled);
-        for transfer in [TransferMode::Compiled, TransferMode::Interp] {
-            for workers in 1..=8 {
-                if workers == 1 && transfer == TransferMode::Compiled {
-                    continue; // the reference itself
-                }
-                let trace = run_script::<IntervalDomain>(workers, seed, 12, transfer);
-                assert_eq!(
-                    trace, reference,
-                    "seed {seed}: {workers}-worker {transfer:?} trace differs from \
-                     the 1-worker compiled trace"
-                );
-            }
+        // The 1-worker trace anchors every other worker count, which must
+        // be bit-identical to it.
+        let reference = run_script::<IntervalDomain>(1, seed, 12);
+        for workers in 2..=8 {
+            let trace = run_script::<IntervalDomain>(workers, seed, 12);
+            assert_eq!(
+                trace, reference,
+                "seed {seed}: {workers}-worker trace differs from the 1-worker trace"
+            );
         }
     }
 }
 
 #[test]
 fn octagon_engine_matches_batch_oracle_at_every_worker_count() {
-    use dai_core::TransferMode;
     for seed in [0xE21] {
-        let reference = run_script::<OctagonDomain>(1, seed, 8, TransferMode::Compiled);
-        for (workers, transfer) in [
-            (1, TransferMode::Interp),
-            (2, TransferMode::Compiled),
-            (4, TransferMode::Interp),
-            (8, TransferMode::Compiled),
-        ] {
-            let trace = run_script::<OctagonDomain>(workers, seed, 8, transfer);
+        let reference = run_script::<OctagonDomain>(1, seed, 8);
+        for workers in [2, 4, 8] {
+            let trace = run_script::<OctagonDomain>(workers, seed, 8);
             assert_eq!(
                 trace, reference,
-                "seed {seed}: {workers}-worker {transfer:?} trace differs from \
-                 the 1-worker compiled trace"
+                "seed {seed}: {workers}-worker trace differs from the 1-worker trace"
             );
         }
     }

@@ -19,7 +19,6 @@
 use dai_core::driver::ProgramEdit;
 use dai_core::explain::{CellOutcome, ExplainReport};
 use dai_core::interproc::ContextPolicy;
-use dai_core::query::QueryStats;
 use dai_domains::OctagonDomain;
 use dai_engine::{Engine, EngineConfig, Request, ResolverChoice, SessionId};
 use dai_lang::{Loc, Symbol};
@@ -45,18 +44,15 @@ fn sweep_targets(engine: &Engine<OctagonDomain>, session: SessionId) -> Vec<(Str
     targets
 }
 
-fn stats_delta(after: &QueryStats, before: &QueryStats) -> QueryStats {
-    QueryStats {
-        computed: after.computed - before.computed,
-        memo_matched: after.memo_matched - before.memo_matched,
-        reused: after.reused - before.reused,
-        unrolls: after.unrolls - before.unrolls,
-        fix_converged: after.fix_converged - before.fix_converged,
-        cone_walks: after.cone_walks - before.cone_walks,
-        cone_cells: after.cone_cells - before.cone_cells,
-        transfers_compiled: after.transfers_compiled - before.transfers_compiled,
-        transfers_interp: after.transfers_interp - before.transfers_interp,
-    }
+/// The keys of a flat one-line JSON object, in order: every quoted
+/// token directly followed by a colon.
+fn json_keys(json: &str) -> Vec<&str> {
+    let parts: Vec<&str> = json.split('"').collect();
+    parts
+        .windows(2)
+        .filter(|w| w[1].starts_with(':'))
+        .map(|w| w[0])
+        .collect()
 }
 
 /// Captures one explain sweep and checks the accounting identity
@@ -68,7 +64,7 @@ fn capture(
 ) -> ExplainReport {
     let before = engine.stats().query_stats;
     let report = engine.explain_sweep(session, targets).unwrap();
-    let delta = stats_delta(&engine.stats().query_stats, &before);
+    let delta = engine.stats().query_stats.delta(&before);
     report.check_accounting(&delta).unwrap();
     report
 }
@@ -103,7 +99,36 @@ fn cold_sweep_attributes_the_whole_cone_exactly() {
     let report = capture(&engine, session, &targets);
     assert_internally_consistent(&report);
     assert_eq!(report.domain, "octagon");
-    assert_eq!(report.transfer, "compiled");
+    // Schema lock: the report's JSON keys, report level then per cell.
+    assert_eq!(
+        json_keys(&report.to_json(0)),
+        [
+            "domain",
+            "cells",
+            "computed",
+            "memo_matched",
+            "reused",
+            "fixes",
+            "converged_fixes",
+            "unrolls",
+            "work_ns",
+            "span_ns",
+            "parallelism",
+            "lock_wait_ns",
+            "lock_held_ns",
+            "eval_ns",
+            "computed_ns",
+            "memo_matched_ns",
+            "fix_ns",
+            "hottest",
+        ]
+    );
+    let one_hot = report.to_json(1);
+    let cell_json = &one_hot[one_hot.find("\"hottest\"").unwrap()..];
+    assert_eq!(
+        json_keys(cell_json),
+        ["hottest", "cell", "outcome", "wall_ns", "finish_ns"]
+    );
     assert!(
         report.outcome_cells(CellOutcome::Computed) > 0,
         "a cold sweep computes"

@@ -386,8 +386,7 @@ fn stats_json_emits_the_locked_schema() {
          \"union_cone_walks\":N},\
          \"query_stats\":{\"computed\":N,\"memo_matched\":N,\
          \"reused\":N,\"unrolls\":N,\"fix_converged\":N,\
-         \"cone_walks\":N,\"cone_cells\":N,\
-         \"transfers_compiled\":N,\"transfers_interp\":N},\
+         \"cone_walks\":N,\"cone_cells\":N},\
          \"explain\":{\"reports\":N,\"cells\":N,\"fixes\":N,\
          \"work_ns\":N,\"span_ns\":N,\"computed_ns\":N,\
          \"memo_matched_ns\":N,\"fix_ns\":N,\
@@ -426,7 +425,10 @@ fn explain_command_attributes_cost_and_reports_json() {
         .map(|l| l.trim_start_matches("dai> "))
         .find(|l| l.starts_with("{\"domain\""))
         .unwrap_or_else(|| panic!("no explain --json line in {stdout}"));
-    assert!(json.contains("\"transfer\":"), "{json}");
+    assert!(
+        json.starts_with("{\"domain\":\"interval\",\"cells\":"),
+        "{json}"
+    );
     assert!(json.contains("\"parallelism\":"), "{json}");
     assert!(json.contains("\"hottest\":["), "{json}");
     assert!(json.ends_with("]}"), "{json}");
