@@ -96,8 +96,8 @@ impl VariantResult {
 
 /// One point of the saturation matrix: `conns` concurrent connections,
 /// each keeping `depth` sweep frames in flight (written back-to-back
-/// before any response is read, protocol ≥ 4), repeating until its
-/// share of sweeps is answered.
+/// before any response is read), repeating until its share of sweeps
+/// is answered.
 #[derive(Debug, Clone)]
 pub struct SaturationPoint {
     /// Concurrent connections (each with its own session).
@@ -139,8 +139,8 @@ pub struct RpcBenchResult {
     /// One wire frame per query.
     pub socket_per_query: VariantResult,
     /// The sweep as per-function bursts of pipelined single-query
-    /// frames (protocol ≥ 4): written back-to-back, coalesced by the
-    /// server's event loop into per-run engine batches.
+    /// frames: written back-to-back, coalesced by the server's event
+    /// loop into per-run engine batches.
     pub socket_pipelined: VariantResult,
     /// The connection-count × frame-shape saturation matrix.
     pub saturation: Vec<SaturationPoint>,

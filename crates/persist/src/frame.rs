@@ -1,20 +1,19 @@
 //! The one frame layout shared by every consumer of `dai` on-disk and
 //! on-wire bytes: a fixed header (4-byte tag, `u16` payload version,
-//! `u64` payload length), an **optional** `u64` request id, the payload,
-//! and a trailing FxHash64 checksum.
+//! `u64` payload length), the payload, and a trailing FxHash64 checksum.
+//! Frames sent over a stream (the RPC transport) additionally carry a
+//! `u64` request id between the header and the payload.
 //!
 //! ```text
 //! [u8;4]  tag        ("SESS", "FUNC", "MEMO", "RPCQ", "RPCS", …)
-//! u16     version    payload version (snapshot sections) or protocol
+//! u16     version    payload version (disk frames) or protocol
 //!                    version (RPC messages)
 //! u64     length     payload length in bytes
-//! [u64    id]        request id — present only when the (tag, version)
-//!                    pair declares it (RPC protocol ≥ 4); snapshot
-//!                    sections and older RPC frames have no id field
+//! [u64    id]        request id — stream frames only; disk frames
+//!                    (snapshot sections, journal, TRCE, EXPL) have none
 //! bytes   payload
-//! u64     checksum   FxHash64 over payload bytes + length + id (see
-//!                    [`checksum_with`]; id-less frames keep the
-//!                    original [`checksum`])
+//! u64     checksum   FxHash64 over payload bytes + length (+ id: see
+//!                    [`checksum_with_id`])
 //! ```
 //!
 //! Snapshot files (`dai_persist::codec`) concatenate frames after a file
@@ -22,19 +21,16 @@
 //! message. Both use *this* implementation — the framing exists once, so
 //! a framing bug (or fix) cannot diverge between disk and wire.
 //!
-//! Whether a frame carries the id field is a property of its `(tag,
-//! version)` pair, decided by the *caller*: this module cannot know
-//! which protocols multiplex, so the stream reader takes a predicate
-//! ([`read_frame_expecting`]) and the writer an explicit `Option<u64>`
-//! ([`write_frame_id`]). The checksum covers the id, so a flipped id
+//! The two layouts are never mixed on one byte sequence: disk frames are
+//! written with [`write_frame`] and split with [`split_frame`]; stream
+//! frames are written with [`write_frame_id`] and read with
+//! [`read_frame_id`]. The stream checksum covers the id, so a flipped id
 //! byte is caught exactly like a flipped payload byte.
-//!
-//! Two read styles are provided:
 //!
 //! * [`split_frame`] — zero-copy over an in-memory byte slice, reporting
 //!   damage (checksum mismatch) and truncation distinctly so snapshot
 //!   parsing can stay lossy-by-section;
-//! * [`read_frame`] — blocking read from an [`std::io::Read`] stream,
+//! * [`read_frame_id`] — blocking read from an [`std::io::Read`] stream,
 //!   with an explicit length bound so a hostile peer cannot make the
 //!   reader allocate unbounded memory from one lying header.
 
@@ -48,26 +44,28 @@ pub const FRAME_HEADER_LEN: usize = 4 + 2 + 8;
 /// Byte length of the frame trailer (the checksum).
 pub const FRAME_TRAILER_LEN: usize = 8;
 
-/// Byte length of the optional request-id field.
+/// Byte length of a stream frame's request-id field.
 pub const FRAME_ID_LEN: usize = 8;
 
 /// The payload checksum: FxHash64 over the bytes plus the length (so a
 /// truncation to a prefix that happens to hash equal is still caught).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    checksum_with(bytes, None)
+    payload_hasher(bytes).finish()
 }
 
-/// [`checksum`] extended to cover the optional request id, so an id
+/// [`checksum`] extended to cover a stream frame's request id, so an id
 /// corrupted in flight fails verification like a corrupted payload.
-/// `checksum_with(bytes, None)` is exactly [`checksum`]`(bytes)`.
-pub fn checksum_with(bytes: &[u8], id: Option<u64>) -> u64 {
+pub fn checksum_with_id(bytes: &[u8], id: u64) -> u64 {
+    let mut h = payload_hasher(bytes);
+    h.write_u64(id);
+    h.finish()
+}
+
+fn payload_hasher(bytes: &[u8]) -> FxHasher64 {
     let mut h = FxHasher64::default();
     h.write(bytes);
     h.write_u64(bytes.len() as u64);
-    if let Some(id) = id {
-        h.write_u64(id);
-    }
-    h.finish()
+    h
 }
 
 /// A decoded frame header.
@@ -101,35 +99,32 @@ impl FrameHeader {
     }
 }
 
-/// Appends one complete frame (header + payload + checksum) to `out`.
+/// Appends one complete disk frame (header + payload + checksum) to
+/// `out`.
 pub fn write_frame(out: &mut Vec<u8>, tag: [u8; 4], version: u16, payload: &[u8]) {
-    write_frame_id(out, tag, version, None, payload);
+    out.reserve(FRAME_HEADER_LEN + payload.len() + FRAME_TRAILER_LEN);
+    out.extend_from_slice(&header_bytes(tag, version, payload));
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
 }
 
-/// [`write_frame`] with an optional request id between the header and
-/// the payload. Passing `Some(id)` is only meaningful when the `(tag,
-/// version)` pair declares the id field — the reader must expect it
-/// ([`read_frame_expecting`]) or the id bytes parse as payload.
-pub fn write_frame_id(
-    out: &mut Vec<u8>,
-    tag: [u8; 4],
-    version: u16,
-    id: Option<u64>,
-    payload: &[u8],
-) {
-    let header = FrameHeader {
+/// Appends one complete stream frame (header + request id + payload +
+/// checksum) to `out`; [`read_frame_id`] reads it back.
+pub fn write_frame_id(out: &mut Vec<u8>, tag: [u8; 4], version: u16, id: u64, payload: &[u8]) {
+    out.reserve(FRAME_HEADER_LEN + FRAME_ID_LEN + payload.len() + FRAME_TRAILER_LEN);
+    out.extend_from_slice(&header_bytes(tag, version, payload));
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&checksum_with_id(payload, id).to_le_bytes());
+}
+
+fn header_bytes(tag: [u8; 4], version: u16, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    FrameHeader {
         tag,
         version,
         len: payload.len() as u64,
-    };
-    let id_len = if id.is_some() { FRAME_ID_LEN } else { 0 };
-    out.reserve(FRAME_HEADER_LEN + id_len + payload.len() + FRAME_TRAILER_LEN);
-    out.extend_from_slice(&header.encode());
-    if let Some(id) = id {
-        out.extend_from_slice(&id.to_le_bytes());
     }
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum_with(payload, id).to_le_bytes());
+    .encode()
 }
 
 /// One frame split off the front of a byte slice.
@@ -194,9 +189,9 @@ pub fn split_frame(bytes: &[u8]) -> Option<SplitFrame<'_>> {
 pub struct StreamFrame {
     /// The frame's header.
     pub header: FrameHeader,
-    /// The request id, when the caller's predicate declared the frame's
-    /// `(tag, version)` pair as id-carrying ([`read_frame_expecting`]).
-    pub id: Option<u64>,
+    /// The request id, as read (it may be damaged when `payload` is
+    /// `None`).
+    pub id: u64,
     /// The payload, if complete and checksum-verified; `None` when the
     /// payload bytes arrived but the checksum did not match.
     pub payload: Option<Vec<u8>>,
@@ -258,51 +253,25 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameRea
     Ok(true)
 }
 
-/// Reads one complete frame from `r`, allocating at most `max_payload`
-/// bytes for the payload. An over-declared length consumes only the
-/// header, so a transport that answers the error and keeps reading stays
-/// in sync with a peer that never actually sent the oversized payload.
+/// Reads one complete stream frame (header, request id, payload,
+/// checksum) from `r`, allocating at most `max_payload` bytes for the
+/// payload. An over-declared length consumes only the header and the
+/// id, so a transport that answers the error and keeps reading stays in
+/// sync with a peer that never actually sent the oversized payload.
 ///
 /// # Errors
 ///
 /// See [`FrameReadError`]; a checksum mismatch is *not* an error here —
-/// the frame arrives with `payload: None` so the caller can answer it in
-/// protocol (mirroring the lossy snapshot sections).
-pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<StreamFrame, FrameReadError> {
-    read_frame_expecting(r, max_payload, |_| false)
-}
-
-/// [`read_frame`] for protocols that multiplex: `expect_id` decides from
-/// the decoded header whether a `u64` request id sits between the
-/// length field and the payload (the RPC transport answers `true` for
-/// its tags at protocol ≥ 4). The id is covered by the checksum
-/// ([`checksum_with`]); on a mismatch the frame still arrives — with
-/// `payload: None` and the id *as read* — so a transport can answer the
-/// damaged request in protocol under a best-effort id.
-///
-/// # Errors
-///
-/// As [`read_frame`]. An oversized declared length consumes the header
-/// and (when expected) the id, nothing more.
-pub fn read_frame_expecting(
-    r: &mut impl Read,
-    max_payload: usize,
-    expect_id: impl FnOnce(&FrameHeader) -> bool,
-) -> Result<StreamFrame, FrameReadError> {
-    let mut header_bytes = [0u8; FRAME_HEADER_LEN];
-    if !read_exact_or_eof(r, &mut header_bytes)? {
+/// the frame arrives with `payload: None` and the id as read, so the
+/// caller can answer the damaged request in protocol under a
+/// best-effort id (mirroring the lossy snapshot sections).
+pub fn read_frame_id(r: &mut impl Read, max_payload: usize) -> Result<StreamFrame, FrameReadError> {
+    let mut pre = [0u8; FRAME_HEADER_LEN + FRAME_ID_LEN];
+    if !read_exact_or_eof(r, &mut pre)? {
         return Err(FrameReadError::Eof);
     }
-    let header = FrameHeader::decode(&header_bytes);
-    let id = if expect_id(&header) {
-        let mut id_bytes = [0u8; FRAME_ID_LEN];
-        if !read_exact_or_eof(r, &mut id_bytes)? {
-            return Err(FrameReadError::Truncated);
-        }
-        Some(u64::from_le_bytes(id_bytes))
-    } else {
-        None
-    };
+    let header = FrameHeader::decode(pre[..FRAME_HEADER_LEN].try_into().expect("header bytes"));
+    let id = u64::from_le_bytes(pre[FRAME_HEADER_LEN..].try_into().expect("8 id bytes"));
     if header.len > max_payload as u64 {
         return Err(FrameReadError::Oversized {
             declared: header.len,
@@ -317,8 +286,7 @@ pub fn read_frame_expecting(
     if !read_exact_or_eof(r, &mut sum_bytes)? {
         return Err(FrameReadError::Truncated);
     }
-    let sum = u64::from_le_bytes(sum_bytes);
-    let verified = checksum_with(&payload, id) == sum;
+    let verified = checksum_with_id(&payload, id) == u64::from_le_bytes(sum_bytes);
     Ok(StreamFrame {
         header,
         id,
@@ -373,98 +341,73 @@ mod tests {
     #[test]
     fn stream_read_roundtrips_and_bounds_length() {
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, *b"RPCQ", 3, b"abc");
-        let f = read_frame(&mut &bytes[..], 1024).unwrap();
+        write_frame_id(&mut bytes, *b"RPCQ", 5, 42, b"abc");
+        let f = read_frame_id(&mut &bytes[..], 1024).unwrap();
         assert_eq!(f.header.tag, *b"RPCQ");
+        assert_eq!(f.id, 42);
         assert_eq!(f.payload.as_deref(), Some(&b"abc"[..]));
-        // Oversized declared length: only the header is consumed.
-        let huge = FrameHeader {
-            tag: *b"RPCQ",
-            version: 1,
-            len: u64::MAX,
-        };
-        let mut stream = huge.encode().to_vec();
-        stream.extend_from_slice(&bytes);
-        let mut cursor = &stream[..];
-        match read_frame(&mut cursor, 1024) {
-            Err(FrameReadError::Oversized { declared, .. }) => assert_eq!(declared, u64::MAX),
+        // A declared length past the bound fails before any allocation.
+        match read_frame_id(&mut &bytes[..], 2) {
+            Err(FrameReadError::Oversized { declared, bound }) => {
+                assert_eq!((declared, bound), (3, 2));
+            }
             other => panic!("expected oversized, got {other:?}"),
         }
-        // The good frame behind it still reads: the reader stayed in sync.
-        let f = read_frame(&mut cursor, 1024).unwrap();
-        assert_eq!(f.payload.as_deref(), Some(&b"abc"[..]));
     }
 
     #[test]
     fn id_frames_roundtrip_and_checksum_covers_id() {
-        let is_v4 = |h: &FrameHeader| h.tag == *b"RPCQ" && h.version >= 4;
         let mut bytes = Vec::new();
-        write_frame_id(&mut bytes, *b"RPCQ", 4, Some(0xDEAD_BEEF), b"abc");
-        let f = read_frame_expecting(&mut &bytes[..], 1024, is_v4).unwrap();
-        assert_eq!(f.id, Some(0xDEAD_BEEF));
+        write_frame_id(&mut bytes, *b"RPCQ", 5, 0xDEAD_BEEF, b"abc");
+        let f = read_frame_id(&mut &bytes[..], 1024).unwrap();
+        assert_eq!(f.id, 0xDEAD_BEEF);
         assert_eq!(f.payload.as_deref(), Some(&b"abc"[..]));
         // A flipped id byte fails the checksum, but the frame still
         // arrives (with the id as read) so the peer can answer it.
         let mut flipped = bytes.clone();
         flipped[FRAME_HEADER_LEN] ^= 0x01;
-        let f = read_frame_expecting(&mut &flipped[..], 1024, is_v4).unwrap();
+        let f = read_frame_id(&mut &flipped[..], 1024).unwrap();
         assert!(f.payload.is_none());
-        assert_eq!(f.id, Some(0xDEAD_BEEE));
-        // A v3 frame through the same predicate has no id field and the
-        // original checksum: the two layouts coexist on one stream.
-        let mut mixed = Vec::new();
-        write_frame(&mut mixed, *b"RPCQ", 3, b"legacy");
-        write_frame_id(&mut mixed, *b"RPCQ", 4, Some(7), b"new");
-        let mut cursor = &mixed[..];
-        let old = read_frame_expecting(&mut cursor, 1024, is_v4).unwrap();
-        assert_eq!(old.id, None);
-        assert_eq!(old.payload.as_deref(), Some(&b"legacy"[..]));
-        let new = read_frame_expecting(&mut cursor, 1024, is_v4).unwrap();
-        assert_eq!(new.id, Some(7));
-        assert_eq!(new.payload.as_deref(), Some(&b"new"[..]));
-        assert_ne!(
-            checksum_with(b"abc", Some(1)),
-            checksum_with(b"abc", Some(2))
-        );
-        assert_eq!(checksum_with(b"abc", None), checksum(b"abc"));
+        assert_eq!(f.id, 0xDEAD_BEEE);
+        assert_ne!(checksum_with_id(b"abc", 1), checksum_with_id(b"abc", 2));
+        assert_ne!(checksum_with_id(b"abc", 0), checksum(b"abc"));
     }
 
     #[test]
     fn oversized_id_frame_consumes_header_and_id_only() {
-        let is_v4 = |h: &FrameHeader| h.tag == *b"RPCQ" && h.version >= 4;
         let huge = FrameHeader {
             tag: *b"RPCQ",
-            version: 4,
+            version: 5,
             len: u64::MAX,
         };
         let mut stream = huge.encode().to_vec();
         stream.extend_from_slice(&99u64.to_le_bytes());
         let mut good = Vec::new();
-        write_frame_id(&mut good, *b"RPCQ", 4, Some(3), b"ok");
+        write_frame_id(&mut good, *b"RPCQ", 5, 3, b"ok");
         stream.extend_from_slice(&good);
         let mut cursor = &stream[..];
         assert!(matches!(
-            read_frame_expecting(&mut cursor, 1024, is_v4),
+            read_frame_id(&mut cursor, 1024),
             Err(FrameReadError::Oversized { .. })
         ));
         // The reader stayed in sync: the following frame parses whole.
-        let f = read_frame_expecting(&mut cursor, 1024, is_v4).unwrap();
-        assert_eq!(f.id, Some(3));
+        let f = read_frame_id(&mut cursor, 1024).unwrap();
+        assert_eq!(f.id, 3);
         assert_eq!(f.payload.as_deref(), Some(&b"ok"[..]));
     }
 
     #[test]
     fn stream_read_reports_eof_vs_truncation() {
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, *b"RPCQ", 1, b"abcdef");
+        write_frame_id(&mut bytes, *b"RPCQ", 5, 7, b"abcdef");
         assert!(matches!(
-            read_frame(&mut &[][..], 64),
+            read_frame_id(&mut &[][..], 64),
             Err(FrameReadError::Eof)
         ));
         for cut in 1..bytes.len() {
             assert!(
                 matches!(
-                    read_frame(&mut &bytes[..cut], 64),
+                    read_frame_id(&mut &bytes[..cut], 64),
                     Err(FrameReadError::Truncated)
                 ),
                 "cut at {cut}"

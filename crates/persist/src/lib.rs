@@ -84,9 +84,8 @@ pub use explain::{
     decode_explain_frame, encode_explain_frame, EXPLAIN_FRAME_TAG, EXPLAIN_FRAME_VERSION,
 };
 pub use frame::{
-    checksum, checksum_with, read_frame, read_frame_expecting, split_frame, write_frame,
-    write_frame_id, FrameHeader, FrameReadError, StreamFrame, FRAME_HEADER_LEN, FRAME_ID_LEN,
-    FRAME_TRAILER_LEN,
+    checksum, checksum_with_id, read_frame_id, split_frame, write_frame, write_frame_id,
+    FrameHeader, FrameReadError, StreamFrame, FRAME_HEADER_LEN, FRAME_ID_LEN, FRAME_TRAILER_LEN,
 };
 pub use snapshot::{
     decode_daig, encode_daig, read_snapshot_file, sync_counts, sync_file, sync_parent_dir,

@@ -979,11 +979,11 @@ impl Persist for ConstDomain {
     }
 }
 
-/// Token bytes of the compact DBM encoding (octagon tag 2). A closed
-/// octagon's difference-bound matrix is dominated by `INF` (no
-/// constraint) and small finite bounds, so the raw 8-bytes-per-entry
-/// layout spends ~90% of its bytes on two values. The compact layout
-/// emits one token byte per run/entry:
+/// Token bytes of the compact DBM encoding (octagon tag 2, the only
+/// octagon layout). A closed octagon's difference-bound matrix is
+/// dominated by `INF` (no constraint) and small finite bounds, so a raw
+/// 8-bytes-per-entry layout would spend ~90% of its bytes on two values.
+/// The compact layout emits one token byte per run/entry:
 ///
 /// * `0xFF` — a run of `INF` entries; a length-prefix varint-free `u32`
 ///   run length follows (runs are short, 4 bytes keeps decode branchless);
@@ -1082,10 +1082,7 @@ impl Persist for OctagonDomain {
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(match r.u8()? {
             0 => OctagonDomain::Bottom,
-            // Tag 1 is the legacy raw layout (8 bytes per DBM entry),
-            // still decoded so pre-compaction snapshots restore; tag 2
-            // is the compact layout every current writer emits.
-            tag @ (1 | 2) => {
+            2 => {
                 let n = r.u64()?;
                 if n > r.remaining() as u64 {
                     return Err(PersistError::Corrupt(
@@ -1099,29 +1096,18 @@ impl Persist for OctagonDomain {
                 // The DBM is quadratic in the variable count, so the
                 // linear `n` bound above is not enough: a corrupt count
                 // could otherwise request a multi-gigabyte allocation
-                // before the first matrix byte is read. In the legacy
-                // layout every entry is exactly 8 bytes, so the size
-                // check is exact; the compact layout needs at least one
-                // token byte per 0xFFFF_FFFF entries, so the division
-                // below still rejects absurd counts before allocating.
+                // before the first matrix byte is read. The compact
+                // layout needs at least one token byte per 0xFFFF_FFFF
+                // entries, so this bound rejects absurd counts before
+                // allocating.
                 let d = 2 * vars.len() as u128;
                 let entries_wide = d * d;
-                let min_bytes = if tag == 1 {
-                    entries_wide * 8
-                } else {
-                    entries_wide.div_ceil(u32::MAX as u128)
-                };
-                if min_bytes > r.remaining() as u128 {
+                if entries_wide.div_ceil(u32::MAX as u128) > r.remaining() as u128 {
                     return Err(PersistError::Corrupt(format!(
                         "octagon DBM of {entries_wide} entries exceeds remaining input"
                     )));
                 }
-                let entries = entries_wide as usize;
-                let dbm = if tag == 1 {
-                    r.i64s(entries)?
-                } else {
-                    get_dbm_compact(entries, r)?
-                };
+                let dbm = get_dbm_compact(entries_wide as usize, r)?;
                 let oct = Oct::from_parts(vars, dbm).ok_or_else(|| {
                     PersistError::Corrupt("octagon parts violate invariants".to_string())
                 })?;
@@ -1426,6 +1412,16 @@ mod tests {
             IntervalDomain::get(&mut Reader::new(&bytes)),
             Err(PersistError::Corrupt(_))
         ));
+        // Octagon tag 1 — the raw 8-bytes-per-entry DBM layout that
+        // predates the compact encoding — is unknown too: a snapshot
+        // section holding one is dropped as damaged.
+        let mut w = Writer::new();
+        w.u8(1);
+        w.u64(0);
+        assert!(matches!(
+            OctagonDomain::get(&mut Reader::new(&w.into_bytes())),
+            Err(PersistError::Corrupt(ref m)) if m.contains("octagon tag 1")
+        ));
     }
 
     #[test]
@@ -1468,10 +1464,10 @@ mod tests {
         // A crafted payload claiming many octagon variables must fail on
         // the quadratic-DBM size check, not attempt a pathological
         // allocation. 1000 one-byte-named vars fit in ~9KB of input, but
-        // the implied DBM would be (2*1000)^2 = 4M entries = 32MB — far
-        // more than the remaining input.
+        // the implied DBM would be (2*1000)^2 = 4M entries = 32MB once
+        // decoded, and not one token byte of it is present.
         let mut w = Writer::new();
-        w.u8(1); // OctagonDomain::Oct
+        w.u8(2); // OctagonDomain::Oct, compact DBM
         let n = 1000u64;
         w.u64(n);
         for _ in 0..n {

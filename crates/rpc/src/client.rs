@@ -10,23 +10,20 @@
 //! with a structured [`WireError::DomainMismatch`], never with a
 //! misdecoded state.
 //!
-//! ## Protocol negotiation
+//! ## Protocol version
 //!
-//! [`Client::connect`] speaks [`PROTOCOL_VERSION`] and **downshifts by
-//! reconnecting** when the server answers
-//! [`WireError::UnsupportedVersion`] naming an older version it does
-//! speak; [`ClientOptions::protocol`] pins the version instead (the
-//! compatibility tests use it to drive a genuine v3 client against a v4
-//! server). On a ≥ 4 connection every request frame carries a fresh
-//! request id and the response's echoed id is verified.
+//! [`Client::connect`] speaks [`PROTOCOL_VERSION`] and nothing else: a
+//! server that refuses it fails the connect with code `version`, with no
+//! renegotiation. Every request frame carries a fresh request id and the
+//! response's echoed id is verified.
 //!
 //! ## Pipelining
 //!
 //! Service calls serialize on an internal lock — one in-flight request
 //! per connection — so a shared `&Client` is safe from many threads. A
-//! whole sweep is still one frame ([`Service::query_sweep`]); and on
-//! protocol ≥ 4, [`Client::pipeline_queries`] writes **many single-query
-//! frames back-to-back** before reading any response, which the server's
+//! whole sweep is still one frame ([`Service::query_sweep`]); and
+//! [`Client::pipeline_queries`] writes **many single-query frames
+//! back-to-back** before reading any response, which the server's
 //! event loop coalesces into one engine batch (one session-lock
 //! acquisition, one union cone) while answering each id individually —
 //! the in-process lock profile, reproduced by pipelining alone.
@@ -42,7 +39,7 @@ use dai_engine::{
     SessionSnapshot, TraceDump, TraceOp,
 };
 use dai_lang::Loc;
-use dai_persist::frame::{read_frame_expecting, write_frame_id, FrameReadError, StreamFrame};
+use dai_persist::frame::{read_frame_id, write_frame_id, FrameReadError};
 use dai_persist::PersistDomain;
 use std::collections::HashMap;
 use std::io::Write;
@@ -51,7 +48,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::proto::{
     decode_message, encode_message, WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
+    PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
 };
 use crate::server::{Addr, Stream};
 
@@ -59,22 +56,13 @@ use crate::server::{Addr, Stream};
 #[derive(Debug, Clone, Default)]
 pub struct ClientOptions {
     /// The auth token to present in the hello, for servers configured to
-    /// require one. Requires protocol ≥ 4 (the v3 hello layout cannot
-    /// carry a token), so a token plus a v3 downshift is a hard error
-    /// rather than a silently-dropped credential.
+    /// require one.
     pub auth: Option<String>,
-    /// Pins the protocol version instead of negotiating. `None` tries
-    /// [`PROTOCOL_VERSION`] and downshifts on
-    /// [`WireError::UnsupportedVersion`].
-    pub protocol: Option<u16>,
 }
 
 struct ClientInner {
     stream: Stream,
-    /// The negotiated (or pinned) protocol version of this connection.
-    proto: u16,
-    /// The next request id (protocol ≥ 4; ids start at 1 — id 0 is the
-    /// server's "unattributable frame" sentinel).
+    /// The next request id.
     next_id: u64,
 }
 
@@ -129,7 +117,7 @@ impl<D: PersistDomain> Client<D> {
     /// # Errors
     ///
     /// Transport failures as [`EngineError::Remote`] (code `transport`);
-    /// a server speaking no common protocol version (code `version`),
+    /// a server refusing [`PROTOCOL_VERSION`] (code `version`),
     /// requiring an auth token (code `unauthorized`), or analyzing
     /// another domain (code `domain`) as the mapped wire error.
     pub fn connect(addr: &str) -> Result<Client<D>, EngineError> {
@@ -147,63 +135,29 @@ impl<D: PersistDomain> Client<D> {
     }
 
     /// [`Client::connect_addr`] with explicit [`ClientOptions`] (auth
-    /// token, pinned protocol version).
+    /// token).
     ///
     /// # Errors
     ///
     /// As [`Client::connect`].
     pub fn connect_with(addr: &Addr, options: ClientOptions) -> Result<Client<D>, EngineError> {
-        let mut version = options.protocol.unwrap_or(PROTOCOL_VERSION);
-        loop {
-            if options.auth.is_some() && version < 4 {
-                return Err(EngineError::Remote {
-                    code: "unauthorized",
-                    message: format!(
-                        "cannot present an auth token at protocol {version} (tokens need ≥ 4)"
-                    ),
-                });
-            }
-            let stream = Stream::connect(addr).map_err(transport_err)?;
-            let mut inner = ClientInner {
-                stream,
-                proto: version,
-                next_id: 1,
-            };
-            let hello = WireRequest::Hello {
-                domain: D::domain_tag(),
-                auth: options.auth.clone(),
-            };
-            match call_on(&mut inner, &hello)? {
-                WireResponse::HelloOk { .. } => {
-                    return Ok(Client {
-                        inner: Mutex::new(inner),
-                        decode_cache: Mutex::new(HashMap::default()),
-                        _domain: PhantomData,
-                    })
-                }
-                WireResponse::Error(WireError::UnsupportedVersion { want, .. })
-                    if options.protocol.is_none()
-                        && want < version
-                        && want >= MIN_PROTOCOL_VERSION =>
-                {
-                    // The server speaks an older protocol: reconnect at
-                    // its version (frame layouts differ, so a fresh
-                    // stream keeps both sides at a frame boundary).
-                    version = want;
-                }
-                WireResponse::Error(e) => return Err(e.into_engine()),
-                other => {
-                    return Err(transport_err(format!(
-                        "unexpected hello response {other:?}"
-                    )))
-                }
-            }
+        let stream = Stream::connect(addr).map_err(transport_err)?;
+        let mut inner = ClientInner { stream, next_id: 1 };
+        let hello = WireRequest::Hello {
+            domain: D::domain_tag(),
+            auth: options.auth,
+        };
+        match call_on(&mut inner, &hello)? {
+            WireResponse::HelloOk { .. } => Ok(Client {
+                inner: Mutex::new(inner),
+                decode_cache: Mutex::new(HashMap::default()),
+                _domain: PhantomData,
+            }),
+            WireResponse::Error(e) => Err(e.into_engine()),
+            other => Err(transport_err(format!(
+                "unexpected hello response {other:?}"
+            ))),
         }
-    }
-
-    /// The connection's negotiated protocol version.
-    pub fn protocol(&self) -> u16 {
-        self.inner.lock().map(|g| g.proto).unwrap_or(0)
     }
 
     fn lock_inner(&self) -> Result<MutexGuard<'_, ClientInner>, EngineError> {
@@ -268,12 +222,11 @@ impl<D: PersistDomain> Client<D> {
     }
 
     /// Demands many locations of one function as **pipelined single-query
-    /// frames**: on protocol ≥ 4, every frame is written before any
-    /// response is read, and answers are matched back by request id (the
-    /// server may complete them out of order). The server coalesces the
-    /// adjacent frames into one engine batch, so this reproduces
-    /// [`Service::query_batch`]'s lock/cone profile from plain `Query`
-    /// frames. On a v3 connection it degrades to serial round trips.
+    /// frames**: every frame is written before any response is read, and
+    /// answers are matched back by request id (the server may complete
+    /// them out of order). The server coalesces the adjacent frames into
+    /// one engine batch, so this reproduces [`Service::query_batch`]'s
+    /// lock/cone profile from plain `Query` frames.
     ///
     /// Answers come back in `locs` order, each member succeeding or
     /// failing on its own.
@@ -290,15 +243,6 @@ impl<D: PersistDomain> Client<D> {
             Ok(g) => g,
             Err(e) => return locs.iter().map(|_| Err(refail(&e))).collect(),
         };
-        if inner.proto < 4 {
-            // v3 has no request ids, so in-flight frames cannot be told
-            // apart; fall back to one round trip per query.
-            drop(inner);
-            return locs
-                .iter()
-                .map(|&loc| Service::query(self, session, func, loc))
-                .collect();
-        }
         // Write every request frame back-to-back, then read the answers.
         let mut out = Vec::new();
         let mut ids = Vec::with_capacity(locs.len());
@@ -314,8 +258,8 @@ impl<D: PersistDomain> Client<D> {
             write_frame_id(
                 &mut out,
                 TAG_REQUEST,
-                inner.proto,
-                Some(id),
+                PROTOCOL_VERSION,
+                id,
                 &encode_message(&request),
             );
         }
@@ -330,7 +274,7 @@ impl<D: PersistDomain> Client<D> {
         let mut by_id: HashMap<u64, Result<D, EngineError>> = HashMap::new();
         for _ in 0..locs.len() {
             match read_response(&mut inner) {
-                Ok((Some(id), response)) => {
+                Ok((id, response)) => {
                     let member = match response {
                         WireResponse::State(blob) => self.decode_state(&blob),
                         WireResponse::Error(e) => Err(e.into_engine()),
@@ -338,22 +282,17 @@ impl<D: PersistDomain> Client<D> {
                     };
                     by_id.insert(id, member);
                 }
-                Ok((None, response)) => {
-                    let e = transport_err(format!("response frame without an id: {response:?}"));
-                    return fill_by_id(&ids, by_id, &e);
-                }
                 Err(e) => return fill_by_id(&ids, by_id, &e),
             }
         }
         fill_by_id(&ids, by_id, &transport_err("response id never arrived"))
     }
 
-    /// Demands `depth` whole sweeps as **pipelined sweep frames**: on
-    /// protocol ≥ 4, all `depth` frames are written before any response
-    /// is read, so syscall and scheduling round-trip costs amortize
-    /// across the in-flight window — the shape a client repeating a
-    /// sweep (or issuing several independent ones) should use for
-    /// throughput. On a v3 connection it degrades to serial sweeps.
+    /// Demands `depth` whole sweeps as **pipelined sweep frames**: all
+    /// `depth` frames are written before any response is read, so
+    /// syscall and scheduling round-trip costs amortize across the
+    /// in-flight window — the shape a client repeating a sweep (or
+    /// issuing several independent ones) should use for throughput.
     ///
     /// Returns one answer vector per sweep, in issue order.
     pub fn pipeline_sweeps(
@@ -370,12 +309,6 @@ impl<D: PersistDomain> Client<D> {
             Ok(g) => g,
             Err(e) => return (0..depth).map(|_| sweep_err(&e)).collect(),
         };
-        if inner.proto < 4 {
-            drop(inner);
-            return (0..depth)
-                .map(|_| Service::query_sweep(self, session, targets))
-                .collect();
-        }
         let request = WireRequest::Sweep {
             session: session.0,
             targets: targets.to_vec(),
@@ -387,7 +320,7 @@ impl<D: PersistDomain> Client<D> {
             let id = inner.next_id;
             inner.next_id += 1;
             ids.push(id);
-            write_frame_id(&mut out, TAG_REQUEST, inner.proto, Some(id), &payload);
+            write_frame_id(&mut out, TAG_REQUEST, PROTOCOL_VERSION, id, &payload);
         }
         if let Err(e) = inner
             .stream
@@ -400,7 +333,7 @@ impl<D: PersistDomain> Client<D> {
         let mut by_id: HashMap<u64, Vec<Result<D, EngineError>>> = HashMap::new();
         for _ in 0..depth {
             match read_response(&mut inner) {
-                Ok((Some(id), WireResponse::States(members))) => {
+                Ok((id, WireResponse::States(members))) => {
                     let answers = members
                         .into_iter()
                         .map(|m| match m {
@@ -410,19 +343,12 @@ impl<D: PersistDomain> Client<D> {
                         .collect();
                     by_id.insert(id, answers);
                 }
-                Ok((Some(id), WireResponse::Error(e))) => {
+                Ok((id, WireResponse::Error(e))) => {
                     by_id.insert(id, sweep_err(&e.into_engine()));
                 }
-                Ok((Some(id), other)) => {
+                Ok((id, other)) => {
                     let e = transport_err(format!("unexpected response {other:?}"));
                     by_id.insert(id, sweep_err(&e));
-                }
-                Ok((None, response)) => {
-                    let e = transport_err(format!("response frame without an id: {response:?}"));
-                    return ids
-                        .iter()
-                        .map(|id| by_id.remove(id).unwrap_or_else(|| sweep_err(&e)))
-                        .collect();
                 }
                 Err(e) => {
                     return ids
@@ -561,9 +487,8 @@ fn fill_by_id<D>(
         .collect()
 }
 
-/// One round trip on a locked connection: write the request frame (with
-/// a fresh id on protocol ≥ 4), read one response frame, verify the id
-/// echo, decode.
+/// One round trip on a locked connection: write the request frame under
+/// a fresh id, read one response frame, verify the id echo, decode.
 fn call_on(inner: &mut ClientInner, request: &WireRequest) -> Result<WireResponse, EngineError> {
     let payload = encode_message(request);
     // The server rejects oversized frames from the header alone and
@@ -578,34 +503,26 @@ fn call_on(inner: &mut ClientInner, request: &WireRequest) -> Result<WireRespons
             ),
         });
     }
-    let id = (inner.proto >= 4).then(|| {
-        let id = inner.next_id;
-        inner.next_id += 1;
-        id
-    });
+    let id = inner.next_id;
+    inner.next_id += 1;
     let mut out = Vec::with_capacity(payload.len() + 32);
-    write_frame_id(&mut out, TAG_REQUEST, inner.proto, id, &payload);
+    write_frame_id(&mut out, TAG_REQUEST, PROTOCOL_VERSION, id, &payload);
     inner.stream.write_all(&out).map_err(transport_err)?;
     inner.stream.flush().map_err(transport_err)?;
     let (got_id, response) = read_response(inner)?;
-    if let Some(id) = id {
-        if got_id != Some(id) {
-            return Err(transport_err(format!(
-                "response id {got_id:?} does not echo request id {id}"
-            )));
-        }
+    if got_id != id {
+        return Err(transport_err(format!(
+            "response id {got_id} does not echo request id {id}"
+        )));
     }
     Ok(response)
 }
 
-/// Reads and decodes one response frame, returning its echoed id (`None`
-/// on a v3 connection, whose frames carry no id field).
-fn read_response(inner: &mut ClientInner) -> Result<(Option<u64>, WireResponse), EngineError> {
-    let proto = inner.proto;
-    let frame: StreamFrame = read_frame_expecting(&mut inner.stream, MAX_FRAME_LEN, |h| {
-        h.tag == TAG_RESPONSE && h.version >= 4
-    })
-    .map_err(|e| match e {
+/// Reads and decodes one response frame, returning its echoed id. A
+/// frame at any version but [`PROTOCOL_VERSION`] fails with code
+/// `version`.
+fn read_response(inner: &mut ClientInner) -> Result<(u64, WireResponse), EngineError> {
+    let frame = read_frame_id(&mut inner.stream, MAX_FRAME_LEN).map_err(|e| match e {
         FrameReadError::Eof | FrameReadError::Truncated => {
             transport_err("server closed the connection")
         }
@@ -617,10 +534,10 @@ fn read_response(inner: &mut ClientInner) -> Result<(Option<u64>, WireResponse),
             frame.header.tag
         )));
     }
-    if frame.header.version != proto {
+    if frame.header.version != PROTOCOL_VERSION {
         return Err(WireError::UnsupportedVersion {
             got: frame.header.version,
-            want: proto,
+            want: PROTOCOL_VERSION,
         }
         .into_engine());
     }

@@ -10,15 +10,16 @@
 //!   ([`WireRequest`]/[`WireResponse`]/[`WireError`]): abstract states
 //!   travel as opaque [`Persist`]-encoded blobs, the domain is *named*
 //!   (once, in the hello exchange) rather than baked into the types, and
-//!   every message is one `dai_persist::frame` frame — the identical
-//!   tag/version/length/checksum layout snapshot sections use on disk;
+//!   every message is one `dai_persist::frame` stream frame — the
+//!   tag/version/length/checksum layout snapshot sections use on disk,
+//!   plus a request id;
 //! * [`server`] — one [`dai_engine::Engine`], many connections, **one
 //!   event loop**: nonblocking sockets behind a hand-rolled epoll loop,
 //!   per-connection bounded buffers (slow readers stall or get a
 //!   structured `overload` error, never unbounded memory), decoded
 //!   queries dispatched as engine tickets whose completions wake the
-//!   loop — so one connection can pipeline many requests (protocol ≥ 4
-//!   frames carry ids; responses may complete out of order), and
+//!   loop — so one connection can pipeline many requests (every frame
+//!   carries a request id; responses may complete out of order), and
 //!   adjacent same-function query frames coalesce into one engine batch.
 //!   Sessions are owned per connection (closed on disconnect) with
 //!   explicit handoff, and a sweep frame lands in
@@ -26,10 +27,9 @@
 //!   fencing survive the wire;
 //! * [`client`] — a typed blocking [`Client<D>`] implementing the same
 //!   [`dai_engine::Service`] trait as the engine itself: swap
-//!   `&Engine<D>` for `&Client<D>` and code runs remotely. Protocol
-//!   negotiation (a v4 client downshifts to a v3 server by
-//!   reconnecting), hello auth tokens, and id-matched pipelining
-//!   ([`Client::pipeline_queries`]) live here;
+//!   `&Engine<D>` for `&Client<D>` and code runs remotely. Hello auth
+//!   tokens and id-matched pipelining ([`Client::pipeline_queries`])
+//!   live here;
 //! * [`replica`] — streaming replication: a [`Replica`] tails a
 //!   leader's `dai-journal` over [`Client::subscribe`] (the journal's
 //!   disk format *is* the wire format) and applies it into a local
@@ -42,7 +42,7 @@
 //!   owning shard, counts routed query members per shard, and migrates
 //!   sessions live between shards via save → release → close → load.
 //!
-//! The wire protocol (frame layout, version negotiation, error codes) is
+//! The wire protocol (frame layout, version rule, error codes) is
 //! documented in `crates/rpc/README.md`.
 //!
 //! ## Quickstart
@@ -72,8 +72,8 @@ pub mod server;
 
 pub use client::{Client, ClientOptions, StreamBatch};
 pub use proto::{
-    WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
+    WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN, PROTOCOL_VERSION, TAG_REQUEST,
+    TAG_RESPONSE,
 };
 pub use replica::{Replica, SyncOutcome, DEFAULT_PULL_BATCH};
 pub use router::{Router, ShardBackend};

@@ -8,9 +8,9 @@
 //! socket, parses frames incrementally out of per-connection read
 //! buffers, and dispatches queries as [`dai_engine::Ticket`]s whose
 //! completion hooks wake the loop through a self-pipe. One connection
-//! can therefore carry **many in-flight requests** (protocol ≥ 4 frames
-//! carry a request id; responses may complete out of order), and the
-//! loop never blocks on the engine.
+//! can therefore carry **many in-flight requests** (every frame carries
+//! a request id; responses may complete out of order), and the loop
+//! never blocks on the engine.
 //!
 //! ## Pipelined coalescing
 //!
@@ -49,16 +49,18 @@
 //!
 //! Malformed traffic is answered in protocol, not with a dropped
 //! connection: a damaged frame (checksum mismatch), an oversized
-//! declared length (rejected from the header alone), an undecodable
-//! payload, or a frame with the wrong protocol version each produce one
-//! structured [`WireError`] response — with the offending frame's
-//! request id echoed when one was readable — and parsing continues at
-//! the next frame boundary. Only transport EOF/errors end a connection,
-//! and ending a connection never takes the server down.
+//! declared length (rejected from the header and id alone), an
+//! undecodable payload, or a frame with the wrong protocol version each
+//! produce one structured [`WireError`] response — with the offending frame's
+//! request id echoed (every frame carries one, whatever its tag or
+//! version) — and parsing continues at the next frame boundary. Only
+//! transport EOF/errors end a connection, and ending a connection never
+//! takes the server down.
 
 use dai_engine::{Engine, EngineError, Request, Response, SessionId, Ticket};
 use dai_persist::frame::{
-    checksum_with, FrameHeader, FRAME_HEADER_LEN, FRAME_ID_LEN, FRAME_TRAILER_LEN,
+    checksum_with_id, write_frame_id, FrameHeader, FRAME_HEADER_LEN, FRAME_ID_LEN,
+    FRAME_TRAILER_LEN,
 };
 use dai_persist::PersistDomain;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -73,7 +75,7 @@ use std::thread::JoinHandle;
 
 use crate::proto::{
     decode_message, encode_message, WireError, WireRequest, WireResponse, WireState, MAX_FRAME_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
+    PROTOCOL_VERSION, TAG_REQUEST, TAG_RESPONSE,
 };
 
 /// Write-queue backlog (bytes) above which a connection stops being
@@ -89,10 +91,6 @@ const HARD_WRITE_CAP: usize = 8 << 20;
 
 /// In-flight request cap per connection; reads stall above it.
 const MAX_INFLIGHT: usize = 1024;
-
-/// Request id used on responses to frames whose own id could not be
-/// read (wrong tag, short header). Clients allocate ids from 1.
-const UNATTRIBUTED_ID: u64 = 0;
 
 // ---------------------------------------------------------------------
 // epoll via the platform libc that std already links: no new deps.
@@ -499,12 +497,12 @@ impl CompletionQueue {
 /// One queued reply slot, in request-arrival order.
 struct Pending<D> {
     seq: u64,
-    id: Option<u64>,
+    id: u64,
     state: PendState<D>,
 }
 
 enum PendState<D> {
-    /// Resolved; waiting for its turn (v3) or the next flush (v4).
+    /// Resolved; waiting for the next flush.
     /// Boxed: a resolved response dwarfs the ticket variants, and most
     /// queue entries at any instant are still tickets.
     Ready(Box<WireResponse>),
@@ -521,8 +519,6 @@ struct Conn<D> {
     rpos: usize,
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Pinned by the hello frame's header version; `None` until then.
-    version: Option<u16>,
     hello_done: bool,
     owned: HashSet<SessionId>,
     pending: VecDeque<Pending<D>>,
@@ -540,13 +536,6 @@ impl<D> Conn<D> {
     /// Whether new request bytes should stop being consumed.
     fn stalled(&self) -> bool {
         self.backlog() > SOFT_WRITE_CAP || self.pending.len() >= MAX_INFLIGHT
-    }
-
-    /// The protocol version responses on this connection are framed
-    /// with ([`PROTOCOL_VERSION`] until the first valid-versioned frame
-    /// pins one).
-    fn wire_version(&self) -> u16 {
-        self.version.unwrap_or(PROTOCOL_VERSION)
     }
 }
 
@@ -610,28 +599,26 @@ enum Parsed {
     /// A complete frame (damaged payloads arrive as `payload: None`).
     Frame {
         header: FrameHeader,
-        id: Option<u64>,
+        id: u64,
         payload_ok: bool,
         consumed: usize,
     },
     /// A header whose declared length exceeds the bound; only the
-    /// header (and id, when the layout has one) is consumed.
+    /// header and id are consumed.
     Oversized {
         header: FrameHeader,
-        id: Option<u64>,
+        id: u64,
         consumed: usize,
     },
 }
 
-/// Whether a frame's `(tag, version)` pair carries the id field.
-fn frame_has_id(header: &FrameHeader) -> bool {
-    (header.tag == TAG_REQUEST || header.tag == TAG_RESPONSE) && header.version >= 4
-}
+/// Bytes before a frame's payload: the fixed header and the request id.
+const PAYLOAD_OFFSET: usize = FRAME_HEADER_LEN + FRAME_ID_LEN;
 
 /// Splits one request frame off `buf` without copying the payload (the
 /// payload is decoded in place; only its verification result travels).
 fn parse_frame(buf: &[u8]) -> Parsed {
-    if buf.len() < FRAME_HEADER_LEN {
+    if buf.len() < PAYLOAD_OFFSET {
         return Parsed::Incomplete;
     }
     let header = FrameHeader::decode(
@@ -639,37 +626,33 @@ fn parse_frame(buf: &[u8]) -> Parsed {
             .try_into()
             .expect("checked header length"),
     );
-    let id_len = if frame_has_id(&header) {
-        FRAME_ID_LEN
-    } else {
-        0
-    };
-    let pre = FRAME_HEADER_LEN + id_len;
-    if buf.len() < pre {
-        return Parsed::Incomplete;
-    }
-    let id = (id_len > 0)
-        .then(|| u64::from_le_bytes(buf[FRAME_HEADER_LEN..pre].try_into().expect("8 id bytes")));
+    let id = u64::from_le_bytes(
+        buf[FRAME_HEADER_LEN..PAYLOAD_OFFSET]
+            .try_into()
+            .expect("8 id bytes"),
+    );
     if header.len > MAX_FRAME_LEN as u64 {
         return Parsed::Oversized {
             header,
             id,
-            consumed: pre,
+            consumed: PAYLOAD_OFFSET,
         };
     }
     let len = header.len as usize;
-    let Some(total) = pre.checked_add(len + FRAME_TRAILER_LEN) else {
-        return Parsed::Incomplete;
-    };
+    let total = PAYLOAD_OFFSET + len + FRAME_TRAILER_LEN;
     if buf.len() < total {
         return Parsed::Incomplete;
     }
-    let payload = &buf[pre..pre + len];
-    let sum = u64::from_le_bytes(buf[pre + len..total].try_into().expect("8 checksum bytes"));
+    let payload = &buf[PAYLOAD_OFFSET..PAYLOAD_OFFSET + len];
+    let sum = u64::from_le_bytes(
+        buf[PAYLOAD_OFFSET + len..total]
+            .try_into()
+            .expect("8 checksum bytes"),
+    );
     Parsed::Frame {
         header,
         id,
-        payload_ok: checksum_with(payload, id) == sum,
+        payload_ok: checksum_with_id(payload, id) == sum,
         consumed: total,
     }
 }
@@ -679,7 +662,7 @@ fn parse_frame(buf: &[u8]) -> Parsed {
 struct QueryRun {
     session: u64,
     func: String,
-    members: Vec<(dai_lang::Loc, u64, Option<u64>)>, // (loc, seq, id)
+    members: Vec<(dai_lang::Loc, u64, u64)>, // (loc, seq, id)
 }
 
 impl<D: PersistDomain> EventLoop<D> {
@@ -762,7 +745,6 @@ impl<D: PersistDomain> EventLoop<D> {
                     rpos: 0,
                     wbuf: Vec::new(),
                     wpos: 0,
-                    version: None,
                     hello_done: false,
                     owned: HashSet::new(),
                     pending: VecDeque::new(),
@@ -947,7 +929,7 @@ impl<D: PersistDomain> EventLoop<D> {
         &mut self,
         conn_id: u64,
         header: FrameHeader,
-        id: Option<u64>,
+        id: u64,
         payload_ok: bool,
         consumed: usize,
         run: &mut Option<QueryRun>,
@@ -955,8 +937,7 @@ impl<D: PersistDomain> EventLoop<D> {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
         };
-        let payload_start =
-            conn.rpos + FRAME_HEADER_LEN + if id.is_some() { FRAME_ID_LEN } else { 0 };
+        let payload_start = conn.rpos + PAYLOAD_OFFSET;
         let payload_range = payload_start..payload_start + header.len as usize;
         conn.rpos += consumed;
 
@@ -969,19 +950,7 @@ impl<D: PersistDomain> EventLoop<D> {
             self.push_ready(conn_id, id, WireResponse::Error(err));
             return;
         }
-        let pinned = conn.version;
-        let version_ok = match pinned {
-            Some(v) => header.version == v,
-            None => (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&header.version),
-        };
-        if version_ok && pinned.is_none() {
-            // Pin the connection's frame layout to the first
-            // valid-versioned frame, hello or not, accepted or not: a
-            // rejected v3 hello (bad auth, wrong domain) must be
-            // *answered* in the id-less v3 layout the peer can read.
-            conn.version = Some(header.version);
-        }
-        if !version_ok {
+        if header.version != PROTOCOL_VERSION {
             self.flush_run(conn_id, run);
             let err = WireError::UnsupportedVersion {
                 got: header.version,
@@ -1019,7 +988,7 @@ impl<D: PersistDomain> EventLoop<D> {
         };
         if !conn.hello_done {
             self.flush_run(conn_id, run);
-            let response = self.handle_hello(conn_id, header.version, request);
+            let response = self.handle_hello(conn_id, request);
             self.push_ready(conn_id, id, response);
             return;
         }
@@ -1086,16 +1055,8 @@ impl<D: PersistDomain> EventLoop<D> {
 
     /// The gate every connection starts behind: the first decoded
     /// message must be a hello naming the right domain (and presenting
-    /// the auth token, when the server requires one). The frame layout
-    /// was already pinned to the hello frame's version in
-    /// [`EventLoop::dispatch_frame`] — even a rejected hello answers in
-    /// the layout the peer reads.
-    fn handle_hello(
-        &mut self,
-        conn_id: u64,
-        frame_version: u16,
-        request: WireRequest,
-    ) -> WireResponse {
+    /// the auth token, when the server requires one).
+    fn handle_hello(&mut self, conn_id: u64, request: WireRequest) -> WireResponse {
         match request {
             WireRequest::Hello { domain, auth } => {
                 if domain != D::domain_tag() {
@@ -1116,10 +1077,9 @@ impl<D: PersistDomain> EventLoop<D> {
                     return WireResponse::Error(WireError::Disconnected);
                 };
                 conn.hello_done = true;
-                conn.version = Some(frame_version);
                 WireResponse::HelloOk {
                     domain,
-                    protocol: frame_version,
+                    protocol: PROTOCOL_VERSION,
                 }
             }
             other => WireResponse::Error(WireError::Protocol(format!(
@@ -1132,7 +1092,7 @@ impl<D: PersistDomain> EventLoop<D> {
     /// Routes one post-hello, non-`Query` request. Engine-backed
     /// requests become tickets (the loop never blocks on them); the
     /// session-table and introspection requests answer immediately.
-    fn handle_request(&mut self, conn_id: u64, id: Option<u64>, request: WireRequest) {
+    fn handle_request(&mut self, conn_id: u64, id: u64, request: WireRequest) {
         let engine = Arc::clone(&self.engine);
         match request {
             WireRequest::Hello { .. } => {
@@ -1283,7 +1243,7 @@ impl<D: PersistDomain> EventLoop<D> {
         }
     }
 
-    fn push_ready(&mut self, conn_id: u64, id: Option<u64>, response: WireResponse) {
+    fn push_ready(&mut self, conn_id: u64, id: u64, response: WireResponse) {
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -1295,7 +1255,7 @@ impl<D: PersistDomain> EventLoop<D> {
         }
     }
 
-    fn push_ticket(&mut self, conn_id: u64, id: Option<u64>, ticket: Ticket<D>) {
+    fn push_ticket(&mut self, conn_id: u64, id: u64, ticket: Ticket<D>) {
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -1313,7 +1273,7 @@ impl<D: PersistDomain> EventLoop<D> {
         }
     }
 
-    fn push_tickets(&mut self, conn_id: u64, id: Option<u64>, tickets: Vec<Ticket<D>>) {
+    fn push_tickets(&mut self, conn_id: u64, id: u64, tickets: Vec<Ticket<D>>) {
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             let seq = conn.next_seq;
             conn.next_seq += 1;
@@ -1412,72 +1372,45 @@ fn read_available<D>(conn: &mut Conn<D>) -> std::io::Result<()> {
     }
 }
 
-/// Encodes resolved responses into the write buffer. v4 connections
-/// flush any Ready entry (out-of-order completion is the point); v3
-/// connections flush strictly in request order. Returns whether any
-/// response was encoded.
+/// Encodes every resolved response into the write buffer, in whatever
+/// order the engine completed them (out-of-order completion is the
+/// point of request ids). Returns whether any response was encoded.
 fn flush_ready<D>(conn: &mut Conn<D>) -> bool {
-    let version = conn.wire_version();
     let mut any = false;
-    if version >= 4 {
-        let mut i = 0;
-        while i < conn.pending.len() {
-            if matches!(conn.pending[i].state, PendState::Ready(_)) {
-                let entry = conn.pending.remove(i).expect("indexed entry");
-                let PendState::Ready(response) = entry.state else {
-                    unreachable!("matched Ready above")
-                };
-                encode_response(conn, entry.id, *response);
-                any = true;
-            } else {
-                i += 1;
-            }
-        }
-    } else {
-        while matches!(
-            conn.pending.front(),
-            Some(Pending {
-                state: PendState::Ready(_),
-                ..
-            })
-        ) {
-            let entry = conn.pending.pop_front().expect("checked front");
+    let mut i = 0;
+    while i < conn.pending.len() {
+        if matches!(conn.pending[i].state, PendState::Ready(_)) {
+            let entry = conn.pending.remove(i).expect("indexed entry");
             let PendState::Ready(response) = entry.state else {
                 unreachable!("matched Ready above")
             };
             encode_response(conn, entry.id, *response);
             any = true;
+        } else {
+            i += 1;
         }
     }
     any
 }
 
 /// Appends one response frame to the connection's write buffer,
-/// applying the three response-side guards: the overload hard cap, the
-/// oversized-response replacement, and the v3 error downgrade.
-fn encode_response<D>(conn: &mut Conn<D>, id: Option<u64>, mut response: WireResponse) {
-    let version = conn.wire_version();
+/// applying the two response-side guards: the overload hard cap and the
+/// oversized-response replacement.
+fn encode_response<D>(conn: &mut Conn<D>, id: u64, mut response: WireResponse) {
     if conn.backlog() > HARD_WRITE_CAP {
         // The peer reads too slowly for the responses it keeps
         // requesting: drop the payload, keep the id answered.
         response = WireResponse::Error(WireError::Overloaded);
     }
-    if let WireResponse::Error(e) = response {
-        response = WireResponse::Error(e.downgrade_for(version));
-    }
     let _encode_span = dai_trace::span!("rpc.encode");
     let mut payload = encode_message(&response);
     if payload.len() > MAX_FRAME_LEN {
-        payload = encode_message(&WireResponse::Error(
-            WireError::Protocol(format!(
-                "response of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame bound",
-                payload.len()
-            ))
-            .downgrade_for(version),
-        ));
+        payload = encode_message(&WireResponse::Error(WireError::Protocol(format!(
+            "response of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame bound",
+            payload.len()
+        ))));
     }
-    let frame_id = (version >= 4).then(|| id.unwrap_or(UNATTRIBUTED_ID));
-    dai_persist::frame::write_frame_id(&mut conn.wbuf, TAG_RESPONSE, version, frame_id, &payload);
+    write_frame_id(&mut conn.wbuf, TAG_RESPONSE, PROTOCOL_VERSION, id, &payload);
 }
 
 /// Pushes buffered response bytes into the socket until it would block.
@@ -1591,23 +1524,6 @@ mod tests {
         ];
         for (a, b) in cases {
             assert_eq!(constant_time_eq(a, b), a == b, "{a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn frame_id_presence_follows_tag_and_version() {
-        for (tag, version, want) in [
-            (TAG_REQUEST, 4, true),
-            (TAG_RESPONSE, 5, true),
-            (TAG_REQUEST, 3, false),
-            (*b"SESS", 4, false),
-        ] {
-            let h = FrameHeader {
-                tag,
-                version,
-                len: 0,
-            };
-            assert_eq!(frame_has_id(&h), want, "{tag:?} v{version}");
         }
     }
 }

@@ -23,14 +23,15 @@ use dai_engine::{
     Engine, EngineConfig, EngineError, ResolverChoice, Service, SessionId, SessionSnapshot,
 };
 use dai_lang::Loc;
-use dai_persist::frame::{read_frame, write_frame, FrameHeader, FrameReadError};
-use dai_persist::{PersistDomain, FRAME_HEADER_LEN};
+use dai_persist::frame::{read_frame_id, write_frame_id, FrameHeader, FrameReadError};
+use dai_persist::{PersistDomain, FRAME_HEADER_LEN, FRAME_ID_LEN};
 use dai_rpc::{
     Addr, Client, Server, WireError, WireRequest, WireResponse, MAX_FRAME_LEN, PROTOCOL_VERSION,
-    TAG_REQUEST,
+    TAG_REQUEST, TAG_RESPONSE,
 };
-use std::io::Write;
-use std::os::unix::net::UnixStream;
+use std::io::{Read, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dai_bench::workload::Workload;
@@ -110,17 +111,6 @@ fn engine_with(resolver: ResolverChoice) -> Arc<Engine<OctagonDomain>> {
 /// The acceptance gate: socket answers and DOT bytes == in-process, with
 /// two concurrent connections, under the given resolver.
 fn socket_matches_in_process(resolver: ResolverChoice, tag: &str) {
-    socket_matches_in_process_with(resolver, tag, dai_rpc::ClientOptions::default());
-}
-
-/// [`socket_matches_in_process`] under explicit client options — the
-/// compatibility tests pin `protocol: Some(3)` to drive a genuine v3
-/// client through the whole lifecycle against the v4 server.
-fn socket_matches_in_process_with(
-    resolver: ResolverChoice,
-    tag: &str,
-    options: dai_rpc::ClientOptions,
-) {
     let (source, edits, targets) = fig10_script(10, 379422);
     // In-process reference.
     let (reference, reference_snap) = run_session(
@@ -144,14 +134,12 @@ fn socket_matches_in_process_with(
             let source = source.clone();
             let edits = edits.clone();
             let targets = targets.clone();
-            let options = options.clone();
             // Named so any trace records they produce resolve to a real
             // thread name, never the recorder's `thread-{id}` fallback.
             std::thread::Builder::new()
                 .name(format!("e2e-client-{i}"))
                 .spawn(move || {
-                    let client: Client<OctagonDomain> =
-                        Client::connect_with(&Addr::parse(&addr).unwrap(), options).unwrap();
+                    let client: Client<OctagonDomain> = Client::connect(&addr).unwrap();
                     run_session(&client, "e2e", &source, &edits, &targets)
                 })
                 .expect("spawn e2e client thread")
@@ -180,22 +168,6 @@ fn fig10_socket_equals_in_process_interproc() {
             policy: dai_core::interproc::ContextPolicy::CallString(1),
         },
         "interproc",
-    );
-}
-
-#[test]
-fn fig10_v3_client_equals_in_process_against_v4_server() {
-    // The compatibility acceptance gate: a client pinned to protocol 3
-    // (id-less frames, serial in-order responses) completes the full
-    // equality suite — opens, edits, sweeps, snapshots — against the
-    // v4 multiplexing server, byte for byte.
-    socket_matches_in_process_with(
-        ResolverChoice::Intra,
-        "v3compat",
-        dai_rpc::ClientOptions {
-            protocol: Some(3),
-            ..Default::default()
-        },
     );
 }
 
@@ -327,32 +299,55 @@ fn wire_stats_carry_batch_and_persist_counters() {
 // Hostile frames.
 // ---------------------------------------------------------------------
 
-/// The id-less legacy frame layout the raw sweeps are written in: a
-/// `RawConn` is a genuine v3 peer, so these tests double as coverage of
-/// the v4 server's v3 compatibility path (the v4-layout hostile frames
-/// get their own sweep in `hostile_pipelining_*` below).
-const RAW_VERSION: u16 = 3;
+/// Where a frame's payload starts: after the fixed header and the request
+/// id every RPC frame carries.
+const PAYLOAD_AT: usize = FRAME_HEADER_LEN + FRAME_ID_LEN;
 
-/// A raw (frame-level) connection that has already completed the hello
-/// exchange, for crafting hostile bytes a typed `Client` cannot send.
+/// One frame in the RPC layout: header, request `id`, payload, checksum.
+fn frame_of(tag: [u8; 4], version: u16, id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_frame_id(&mut out, tag, version, id, payload);
+    out
+}
+
+/// The request id a (possibly damaged) frame carries, as a reader sees it.
+fn id_in(frame: &[u8]) -> u64 {
+    u64::from_le_bytes(frame[FRAME_HEADER_LEN..PAYLOAD_AT].try_into().unwrap())
+}
+
+/// A raw (frame-level) connection, for crafting hostile bytes a typed
+/// `Client` cannot send. Every frame it writes carries a request id.
 struct RawConn {
     stream: UnixStream,
+    next_id: u64,
 }
 
 impl RawConn {
-    fn connect(path: &str) -> RawConn {
-        let mut conn = RawConn {
+    /// Connects without saying hello.
+    fn open(path: &str) -> RawConn {
+        RawConn {
             stream: UnixStream::connect(path).expect("server socket accepts"),
-        };
+            next_id: 1,
+        }
+    }
+
+    /// Connects and completes the hello exchange.
+    fn connect(path: &str) -> RawConn {
+        let mut conn = RawConn::open(path);
+        let id = conn.hello_at(PROTOCOL_VERSION);
+        match conn.read_response() {
+            Some((echo, WireResponse::HelloOk { .. })) if echo == id => conn,
+            other => panic!("hello failed: {other:?}"),
+        }
+    }
+
+    /// Sends an interval hello framed at `version`; returns its id.
+    fn hello_at(&mut self, version: u16) -> u64 {
         let hello = dai_rpc::proto::encode_message(&WireRequest::Hello {
             domain: IntervalDomain::domain_tag(),
             auth: None,
         });
-        conn.send_frame(TAG_REQUEST, RAW_VERSION, &hello);
-        match conn.read_response() {
-            Some(WireResponse::HelloOk { .. }) => conn,
-            other => panic!("hello failed: {other:?}"),
-        }
+        self.send_frame(TAG_REQUEST, version, &hello)
     }
 
     fn send_raw(&mut self, bytes: &[u8]) {
@@ -360,34 +355,65 @@ impl RawConn {
         self.stream.flush().expect("flush");
     }
 
-    fn send_frame(&mut self, tag: [u8; 4], version: u16, payload: &[u8]) {
-        let mut out = Vec::new();
-        write_frame(&mut out, tag, version, payload);
-        self.send_raw(&out);
+    /// Sends one frame under a fresh request id and returns the id.
+    fn send_frame(&mut self, tag: [u8; 4], version: u16, payload: &[u8]) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.send_raw(&frame_of(tag, version, id, payload));
+        id
     }
 
-    /// Reads one response, or `None` when the server closed the
-    /// connection instead.
-    fn read_response(&mut self) -> Option<WireResponse> {
-        match read_frame(&mut self.stream, MAX_FRAME_LEN) {
+    /// Sends one well-formed request frame and returns its id.
+    fn send_request(&mut self, payload: &[u8]) -> u64 {
+        self.send_frame(TAG_REQUEST, PROTOCOL_VERSION, payload)
+    }
+
+    /// Reads one response and its echoed id, or `None` when the server
+    /// closed the connection instead.
+    fn read_response(&mut self) -> Option<(u64, WireResponse)> {
+        match read_frame_id(&mut self.stream, MAX_FRAME_LEN) {
             Ok(frame) => {
+                assert_eq!(frame.header.tag, TAG_RESPONSE);
+                assert_eq!(frame.header.version, PROTOCOL_VERSION);
                 let payload = frame.payload.expect("server frames are well-formed");
-                Some(dai_rpc::proto::decode_message::<WireResponse>(&payload).unwrap())
+                let response = dai_rpc::proto::decode_message::<WireResponse>(&payload).unwrap();
+                Some((frame.id, response))
             }
             Err(FrameReadError::Eof) | Err(FrameReadError::Truncated) => None,
             Err(e) => panic!("client-side read failed oddly: {e}"),
         }
     }
 
-    /// Sends a valid `Stats` request and asserts it is answered — the
-    /// probe that the connection survived whatever came before.
+    /// Reads one response and asserts it is an error answering `id`.
+    fn expect_error(&mut self, id: u64) -> WireError {
+        match self.read_response() {
+            Some((echo, WireResponse::Error(e))) => {
+                assert_eq!(echo, id, "the error must echo the request id ({e})");
+                e
+            }
+            other => panic!("id {id}: expected an error, got {other:?}"),
+        }
+    }
+
+    /// Sends a valid `Stats` request and asserts it is answered under its
+    /// id — the probe that the connection survived whatever came before.
     fn assert_alive(&mut self) {
         let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-        self.send_frame(TAG_REQUEST, RAW_VERSION, &payload);
+        let id = self.send_request(&payload);
         match self.read_response() {
-            Some(WireResponse::Stats(_)) => {}
+            Some((echo, WireResponse::Stats(_))) if echo == id => {}
             other => panic!("connection did not survive: {other:?}"),
         }
+    }
+
+    /// Sends `bytes`, half-closes, and drains until the server closes the
+    /// read side — the clean outcome for a frame with no resync point.
+    fn send_and_hang_up(mut self, bytes: &[u8]) {
+        self.send_raw(bytes);
+        self.stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        while self.read_response().is_some() {}
     }
 }
 
@@ -406,15 +432,12 @@ fn bad_checksum_answers_wire_error_and_connection_survives() {
     let (server, path) = hostile_server();
     let mut conn = RawConn::connect(&path);
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
+    let mut frame = frame_of(TAG_REQUEST, PROTOCOL_VERSION, 77, &payload);
     // Flip one payload byte: the checksum must catch it.
-    frame[FRAME_HEADER_LEN] ^= 0xFF;
+    frame[PAYLOAD_AT] ^= 0xFF;
     conn.send_raw(&frame);
-    match conn.read_response() {
-        Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
-        other => panic!("expected protocol error, got {other:?}"),
-    }
+    let e = conn.expect_error(77);
+    assert_eq!(e.code(), "protocol", "{e}");
     conn.assert_alive();
     server.shutdown();
 }
@@ -422,37 +445,36 @@ fn bad_checksum_answers_wire_error_and_connection_survives() {
 #[test]
 fn wrong_protocol_version_answers_structured_error_and_survives() {
     let (server, path) = hostile_server();
-    let mut conn = RawConn::connect(&path);
-    // Too old for the supported range: version 2 predates the id field,
-    // so it travels (and is consumed) in the id-less layout.
+    // A hello one version behind — what a client of the previous
+    // protocol sends — is refused in protocol, and a corrected hello on
+    // the same connection succeeds.
+    let mut conn = RawConn::open(&path);
+    let id = conn.hello_at(PROTOCOL_VERSION - 1);
+    match conn.expect_error(id) {
+        WireError::UnsupportedVersion { got, want } => {
+            assert_eq!((got, want), (PROTOCOL_VERSION - 1, PROTOCOL_VERSION));
+        }
+        other => panic!("expected version error, got {other:?}"),
+    }
+    let id = conn.hello_at(PROTOCOL_VERSION);
+    assert!(matches!(
+        conn.read_response(),
+        Some((echo, WireResponse::HelloOk { .. })) if echo == id
+    ));
+    // After the hello, older and newer versions alike travel in the one
+    // id layout: each frame is consumed whole, answered under its own id,
+    // and the stream stays in sync for the next request.
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    conn.send_frame(TAG_REQUEST, 2, &payload);
-    match conn.read_response() {
-        Some(WireResponse::Error(WireError::UnsupportedVersion { got, want })) => {
-            assert_eq!(got, 2);
-            assert_eq!(want, PROTOCOL_VERSION);
+    for version in [2, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 41] {
+        let id = conn.send_frame(TAG_REQUEST, version, &payload);
+        match conn.expect_error(id) {
+            WireError::UnsupportedVersion { got, want } => {
+                assert_eq!((got, want), (version, PROTOCOL_VERSION));
+            }
+            other => panic!("v{version}: expected version error, got {other:?}"),
         }
-        other => panic!("expected version error, got {other:?}"),
+        conn.assert_alive();
     }
-    // Too new: a ≥ 4 version means the id frame layout, and the whole
-    // frame (id included) must be consumed so the stream stays in sync.
-    let mut frame = Vec::new();
-    dai_persist::frame::write_frame_id(
-        &mut frame,
-        TAG_REQUEST,
-        PROTOCOL_VERSION + 41,
-        Some(7),
-        &payload,
-    );
-    conn.send_raw(&frame);
-    match conn.read_response() {
-        Some(WireResponse::Error(WireError::UnsupportedVersion { got, want })) => {
-            assert_eq!(got, PROTOCOL_VERSION + 41);
-            assert_eq!(want, PROTOCOL_VERSION);
-        }
-        other => panic!("expected version error, got {other:?}"),
-    }
-    conn.assert_alive();
     server.shutdown();
 }
 
@@ -461,21 +483,19 @@ fn oversized_declared_length_rejected_before_allocation_and_survives() {
     let (server, path) = hostile_server();
     let mut conn = RawConn::connect(&path);
     // A header declaring a multi-terabyte payload, with nothing behind
-    // it: the server must answer from the header alone (allocating
-    // nothing) and stay in sync for the next real frame.
+    // its id: the server must answer from the header and id alone
+    // (allocating nothing) and stay in sync for the next real frame.
     let header = FrameHeader {
         tag: TAG_REQUEST,
-        version: RAW_VERSION,
+        version: PROTOCOL_VERSION,
         len: 1 << 42,
     };
-    conn.send_raw(&header.encode());
-    match conn.read_response() {
-        Some(WireResponse::Error(e)) => {
-            assert_eq!(e.code(), "protocol");
-            assert!(e.to_string().contains("exceeds"), "{e}");
-        }
-        other => panic!("expected protocol error, got {other:?}"),
-    }
+    let mut bytes = header.encode().to_vec();
+    bytes.extend_from_slice(&31u64.to_le_bytes());
+    conn.send_raw(&bytes);
+    let e = conn.expect_error(31);
+    assert_eq!(e.code(), "protocol");
+    assert!(e.to_string().contains("exceeds"), "{e}");
     conn.assert_alive();
     server.shutdown();
 }
@@ -485,26 +505,18 @@ fn undecodable_and_misdirected_payloads_answer_wire_errors() {
     let (server, path) = hostile_server();
     let mut conn = RawConn::connect(&path);
     // Garbage payload under a valid frame (checksum fine, bytes absurd).
-    conn.send_frame(TAG_REQUEST, RAW_VERSION, &[0xFE, 0xDC, 0xBA]);
-    match conn.read_response() {
-        Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
-        other => panic!("expected protocol error, got {other:?}"),
-    }
+    let id = conn.send_request(&[0xFE, 0xDC, 0xBA]);
+    assert_eq!(conn.expect_error(id).code(), "protocol");
     // Trailing bytes after a valid request are a violation, not padding.
     let mut padded = dai_rpc::proto::encode_message(&WireRequest::Stats);
     padded.extend_from_slice(b"padding");
-    conn.send_frame(TAG_REQUEST, RAW_VERSION, &padded);
-    match conn.read_response() {
-        Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
-        other => panic!("expected protocol error, got {other:?}"),
-    }
-    // A response-tagged frame sent at the server.
+    let id = conn.send_request(&padded);
+    assert_eq!(conn.expect_error(id).code(), "protocol");
+    // A response-tagged frame sent at the server: still id-framed, so
+    // its id is echoed too.
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    conn.send_frame(*b"RPCS", RAW_VERSION, &payload);
-    match conn.read_response() {
-        Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
-        other => panic!("expected protocol error, got {other:?}"),
-    }
+    let id = conn.send_frame(TAG_RESPONSE, PROTOCOL_VERSION, &payload);
+    assert_eq!(conn.expect_error(id).code(), "protocol");
     conn.assert_alive();
     server.shutdown();
 }
@@ -534,31 +546,12 @@ fn client_refuses_to_send_oversized_frames_and_stays_usable() {
 #[test]
 fn requests_before_hello_are_rejected_in_protocol() {
     let (server, path) = hostile_server();
-    let mut stream = UnixStream::connect(&path).unwrap();
+    let mut conn = RawConn::open(&path);
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    let mut frame = Vec::new();
-    // A v4 frame: carries a request id, which the rejection must echo.
-    dai_persist::frame::write_frame_id(
-        &mut frame,
-        TAG_REQUEST,
-        PROTOCOL_VERSION,
-        Some(9),
-        &payload,
-    );
-    stream.write_all(&frame).unwrap();
-    let response =
-        dai_persist::frame::read_frame_expecting(&mut stream, MAX_FRAME_LEN, |h| h.version >= 4)
-            .unwrap();
-    assert_eq!(response.id, Some(9), "rejection echoes the request id");
-    let decoded =
-        dai_rpc::proto::decode_message::<WireResponse>(&response.payload.unwrap()).unwrap();
-    match decoded {
-        WireResponse::Error(e) => {
-            assert_eq!(e.code(), "protocol");
-            assert!(e.to_string().contains("hello"), "{e}");
-        }
-        other => panic!("expected protocol error, got {other:?}"),
-    }
+    let id = conn.send_request(&payload);
+    let e = conn.expect_error(id);
+    assert_eq!(e.code(), "protocol");
+    assert!(e.to_string().contains("hello"), "{e}");
     server.shutdown();
 }
 
@@ -600,18 +593,11 @@ fn every_truncation_prefix_is_handled_cleanly() {
         func: "f".to_string(),
         loc: Loc(3),
     });
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
+    let frame = frame_of(TAG_REQUEST, PROTOCOL_VERSION, 5, &payload);
     for cut in 0..frame.len() {
-        let mut conn = RawConn::connect(&path);
-        conn.send_raw(&frame[..cut]);
-        conn.stream
-            .shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        // Drain whatever the server does (a response would only arrive
-        // for a prefix that happens to be a complete frame; EOF is the
-        // expected outcome) until it closes our read side.
-        while conn.read_response().is_some() {}
+        // A response would only arrive for a prefix that happens to be a
+        // complete frame; EOF is the expected outcome.
+        RawConn::connect(&path).send_and_hang_up(&frame[..cut]);
     }
     // After the whole sweep, the server still serves typed clients.
     let client: Client<IntervalDomain> = Client::connect(&format!("unix:{path}")).unwrap();
@@ -637,7 +623,7 @@ fn decode_never_panics(bytes: &[u8]) {
     let _ = dai_rpc::proto::decode_message::<WireResponse>(bytes);
     let _ = dai_persist::split_frame(bytes);
     let _ = dai_persist::decode_trace_frame(bytes);
-    let _ = read_frame(&mut &bytes[..], MAX_FRAME_LEN);
+    let _ = read_frame_id(&mut &bytes[..], MAX_FRAME_LEN);
 }
 
 proptest! {
@@ -652,8 +638,7 @@ proptest! {
             session: seed,
             targets: vec![("main".to_string(), Loc(seed as u32 % 17))],
         });
-        let mut frame = Vec::new();
-        write_frame(&mut frame, TAG_REQUEST, PROTOCOL_VERSION, &payload);
+        let frame = frame_of(TAG_REQUEST, PROTOCOL_VERSION, seed, &payload);
         let a = (seed as usize) % frame.len();
         let b = (seed as usize / 7) % frame.len();
         decode_never_panics(&frame[..a]);
@@ -756,12 +741,38 @@ fn trace_and_metrics_roundtrip_over_socket() {
     server.shutdown();
 }
 
+/// The hostile sweep of one request payload, framed at the current
+/// version: every proper prefix on a fresh connection (clean close), and
+/// every byte flip after the header — request id, payload and checksum —
+/// on one connection (each answered with a `protocol` error echoing the
+/// id as the server read it; the connection survives to the next
+/// request). Header flips can desync, so they run on fresh connections.
+fn sweep_truncations_and_flips(path: &str, payload: &[u8]) {
+    let frame = frame_of(TAG_REQUEST, PROTOCOL_VERSION, 0x5EED, payload);
+    for cut in 0..frame.len() {
+        RawConn::connect(path).send_and_hang_up(&frame[..cut]);
+    }
+    let mut conn = RawConn::connect(path);
+    for i in FRAME_HEADER_LEN..frame.len() {
+        let mut flipped = frame.clone();
+        flipped[i] ^= 0xFF;
+        conn.send_raw(&flipped);
+        let e = conn.expect_error(id_in(&flipped));
+        assert_eq!(e.code(), "protocol", "flip at {i}: {e}");
+    }
+    conn.assert_alive();
+    for i in 0..FRAME_HEADER_LEN {
+        let mut flipped = frame.clone();
+        flipped[i] ^= 0xFF;
+        RawConn::connect(path).send_and_hang_up(&flipped);
+    }
+}
+
 #[test]
 fn trace_and_metrics_requests_survive_truncations_and_flips() {
-    // The hostile sweeps of the two new wire messages: every proper
-    // prefix of a valid frame (fresh connection each, clean close), and
-    // every payload byte flip (one connection, structured error each
-    // time, connection survives to the next request).
+    // The hostile sweeps of the two wire messages: every proper prefix
+    // of a valid frame and every byte flip (see
+    // `sweep_truncations_and_flips`).
     let (server, path) = hostile_server();
     let payloads = [
         dai_rpc::proto::encode_message(&WireRequest::Trace {
@@ -770,41 +781,7 @@ fn trace_and_metrics_requests_survive_truncations_and_flips() {
         dai_rpc::proto::encode_message(&WireRequest::Metrics),
     ];
     for payload in &payloads {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, payload);
-        for cut in 0..frame.len() {
-            let mut conn = RawConn::connect(&path);
-            conn.send_raw(&frame[..cut]);
-            conn.stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close");
-            while conn.read_response().is_some() {}
-        }
-        // Payload flips are checksum-caught, so one connection takes the
-        // whole sweep: error, resync, next flip.
-        let mut conn = RawConn::connect(&path);
-        for i in FRAME_HEADER_LEN..frame.len() {
-            let mut flipped = frame.clone();
-            flipped[i] ^= 0xFF;
-            conn.send_raw(&flipped);
-            match conn.read_response() {
-                Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
-                other => panic!("flip at {i}: expected protocol error, got {other:?}"),
-            }
-        }
-        conn.assert_alive();
-        // Header flips can desync; sweep them on fresh connections like
-        // the general byte-flip test.
-        for i in 0..FRAME_HEADER_LEN {
-            let mut flipped = frame.clone();
-            flipped[i] ^= 0xFF;
-            let mut conn = RawConn::connect(&path);
-            conn.send_raw(&flipped);
-            conn.stream
-                .shutdown(std::net::Shutdown::Write)
-                .expect("half-close");
-            while conn.read_response().is_some() {}
-        }
+        sweep_truncations_and_flips(&path, payload);
     }
     // The server outlived both sweeps.
     let client: Client<IntervalDomain> = Client::connect(&format!("unix:{path}")).unwrap();
@@ -931,35 +908,13 @@ fn explain_on_an_interprocedural_server_is_a_structured_error() {
 #[test]
 fn explain_requests_survive_truncations_and_flips() {
     // The hostile sweep of the explain wire message, mirroring the
-    // trace/metrics sweeps above: every proper prefix on a fresh
-    // connection (clean close), every payload byte flip on one
-    // connection (structured error each time, connection survives).
+    // trace/metrics sweeps above.
     let (server, path) = hostile_server();
     let payload = dai_rpc::proto::encode_message(&WireRequest::Explain {
         session: 1,
         targets: vec![("f".to_string(), Loc(2))],
     });
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
-    for cut in 0..frame.len() {
-        let mut conn = RawConn::connect(&path);
-        conn.send_raw(&frame[..cut]);
-        conn.stream
-            .shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
-        while conn.read_response().is_some() {}
-    }
-    let mut conn = RawConn::connect(&path);
-    for i in FRAME_HEADER_LEN..frame.len() {
-        let mut flipped = frame.clone();
-        flipped[i] ^= 0xFF;
-        conn.send_raw(&flipped);
-        match conn.read_response() {
-            Some(WireResponse::Error(e)) => assert_eq!(e.code(), "protocol", "{e}"),
-            other => panic!("flip at {i}: expected protocol error, got {other:?}"),
-        }
-    }
-    conn.assert_alive();
+    sweep_truncations_and_flips(&path, &payload);
     // The server outlived the sweep and still explains.
     let client: Client<IntervalDomain> = Client::connect(&format!("unix:{path}")).unwrap();
     let session = client.open("after-hostile", LOOPY).unwrap();
@@ -978,26 +933,20 @@ fn explain_requests_survive_truncations_and_flips() {
 fn every_single_byte_flip_is_handled_cleanly() {
     // Bit-flip sweep over a whole valid frame: each position is flipped
     // on its own fresh connection. Depending on the position the server
-    // sees a bad tag, a bad version, a lying length, a checksum
-    // mismatch, or an undecodable payload — every one must end in a
+    // sees a bad tag, a bad version, a lying length, a damaged id, a
+    // checksum mismatch, or an undecodable payload — every one must end in a
     // structured error or a clean close, and the server must survive
     // them all.
     let (server, path) = hostile_server();
     let payload = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    let mut frame = Vec::new();
-    write_frame(&mut frame, TAG_REQUEST, RAW_VERSION, &payload);
+    let frame = frame_of(TAG_REQUEST, PROTOCOL_VERSION, 3, &payload);
     for i in 0..frame.len() {
         let mut flipped = frame.clone();
         flipped[i] ^= 0xFF;
-        let mut conn = RawConn::connect(&path);
-        conn.send_raw(&flipped);
-        conn.stream
-            .shutdown(std::net::Shutdown::Write)
-            .expect("half-close");
         // Either a structured response (error, or Stats when the flip
         // landed somewhere harmless… it never is, but the contract is
         // "no panic, no hang") or a clean close.
-        while conn.read_response().is_some() {}
+        RawConn::connect(&path).send_and_hang_up(&flipped);
     }
     let client: Client<IntervalDomain> = Client::connect(&format!("unix:{path}")).unwrap();
     assert!(Service::<IntervalDomain>::stats(&client).is_ok());
@@ -1005,80 +954,27 @@ fn every_single_byte_flip_is_handled_cleanly() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol 4: multiplexed pipelining, auth, shutdown churn.
+// Multiplexed pipelining, auth, version refusal, shutdown churn.
 // ---------------------------------------------------------------------
-
-/// A raw v4 (id-framed) connection, for pipelining hostile bytes between
-/// valid in-flight requests.
-struct RawV4Conn {
-    stream: UnixStream,
-}
-
-impl RawV4Conn {
-    fn connect(path: &str) -> RawV4Conn {
-        let mut conn = RawV4Conn {
-            stream: UnixStream::connect(path).expect("server socket accepts"),
-        };
-        let hello = dai_rpc::proto::encode_message(&WireRequest::Hello {
-            domain: IntervalDomain::domain_tag(),
-            auth: None,
-        });
-        conn.send_request(1, &hello);
-        match conn.read_response() {
-            (Some(1), WireResponse::HelloOk { .. }) => conn,
-            other => panic!("v4 hello failed: {other:?}"),
-        }
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) {
-        self.stream.write_all(bytes).expect("send");
-        self.stream.flush().expect("flush");
-    }
-
-    fn send_request(&mut self, id: u64, payload: &[u8]) {
-        let mut out = Vec::new();
-        dai_persist::frame::write_frame_id(
-            &mut out,
-            TAG_REQUEST,
-            PROTOCOL_VERSION,
-            Some(id),
-            payload,
-        );
-        self.send_raw(&out);
-    }
-
-    fn read_response(&mut self) -> (Option<u64>, WireResponse) {
-        let frame =
-            dai_persist::frame::read_frame_expecting(&mut self.stream, MAX_FRAME_LEN, |h| {
-                h.version >= 4
-            })
-            .expect("server keeps the connection");
-        let payload = frame.payload.expect("server frames are well-formed");
-        (
-            frame.id,
-            dai_rpc::proto::decode_message::<WireResponse>(&payload).unwrap(),
-        )
-    }
-}
 
 #[test]
 fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
-    // The v4 hostile sweep: valid pipelined queries with an
+    // The pipelining hostile sweep: valid pipelined queries with an
     // oversized-declared frame and a checksum-damaged frame spliced
     // between them, all written in ONE burst. The stream must stay at
     // frame boundaries, every id — hostile or not — must be answered,
     // and the connection must survive to serve the next request.
     let (server, path) = hostile_server();
-    let mut conn = RawV4Conn::connect(&path);
+    let mut conn = RawConn::connect(&path);
 
     // A real session to query, set up over the same raw connection.
     let open = dai_rpc::proto::encode_message(&WireRequest::Open {
         name: "hp".to_string(),
         source: LOOPY.to_string(),
     });
-    conn.send_request(2, &open);
+    let id = conn.send_request(&open);
     let session = match conn.read_response() {
-        (Some(2), WireResponse::Opened { session }) => session,
+        Some((echo, WireResponse::Opened { session })) if echo == id => session,
         other => panic!("open failed: {other:?}"),
     };
     let locs: Vec<Loc> = {
@@ -1093,15 +989,9 @@ fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
             loc,
         })
     };
-    let mut burst = Vec::new();
+    let valid = |id: u64, loc: Loc| frame_of(TAG_REQUEST, PROTOCOL_VERSION, id, &query(loc));
     // id 10: valid query.
-    dai_persist::frame::write_frame_id(
-        &mut burst,
-        TAG_REQUEST,
-        PROTOCOL_VERSION,
-        Some(10),
-        &query(locs[0]),
-    );
+    let mut burst = valid(10, locs[0]);
     // id 11: header declaring a multi-terabyte payload — the server must
     // reject from the header+id alone and resume at the next byte.
     let lying = FrameHeader {
@@ -1112,38 +1002,19 @@ fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
     burst.extend_from_slice(&lying.encode());
     burst.extend_from_slice(&11u64.to_le_bytes());
     // id 12: valid query.
-    dai_persist::frame::write_frame_id(
-        &mut burst,
-        TAG_REQUEST,
-        PROTOCOL_VERSION,
-        Some(12),
-        &query(locs[1 % locs.len()]),
-    );
+    burst.extend(valid(12, locs[1 % locs.len()]));
     // id 13: checksum-damaged frame (payload byte flipped after framing).
-    let damaged_from = burst.len();
-    dai_persist::frame::write_frame_id(
-        &mut burst,
-        TAG_REQUEST,
-        PROTOCOL_VERSION,
-        Some(13),
-        &query(locs[0]),
-    );
-    burst[damaged_from + FRAME_HEADER_LEN + 8] ^= 0xFF;
+    let mut damaged = valid(13, locs[0]);
+    damaged[PAYLOAD_AT] ^= 0xFF;
+    burst.extend(damaged);
     // id 14: valid query.
-    dai_persist::frame::write_frame_id(
-        &mut burst,
-        TAG_REQUEST,
-        PROTOCOL_VERSION,
-        Some(14),
-        &query(locs[2 % locs.len()]),
-    );
+    burst.extend(valid(14, locs[2 % locs.len()]));
     conn.send_raw(&burst);
 
     // Five ids in flight; answers may arrive in any order.
     let mut answers = std::collections::HashMap::new();
     for _ in 0..5 {
-        let (id, response) = conn.read_response();
-        let id = id.expect("v4 responses carry ids");
+        let (id, response) = conn.read_response().expect("server keeps the connection");
         assert!(
             answers.insert(id, response).is_none(),
             "id {id} answered twice"
@@ -1172,12 +1043,7 @@ fn hostile_pipelining_keeps_stream_in_sync_and_answers_every_id() {
     assert!(answers.is_empty(), "unexpected extra answers: {answers:?}");
 
     // The connection survived the whole splice.
-    let stats = dai_rpc::proto::encode_message(&WireRequest::Stats);
-    conn.send_request(20, &stats);
-    match conn.read_response() {
-        (Some(20), WireResponse::Stats(_)) => {}
-        other => panic!("connection did not survive: {other:?}"),
-    }
+    conn.assert_alive();
     server.shutdown();
 }
 
@@ -1191,7 +1057,6 @@ fn pipelined_per_query_frames_reproduce_the_coalesced_lock_profile() {
     let engine: Arc<Engine<IntervalDomain>> = Arc::new(Engine::new(1));
     let server = Server::bind(&Addr::Unix(scratch("pipeline")), Arc::clone(&engine)).unwrap();
     let client: Client<IntervalDomain> = Client::connect(&server.addr().to_string()).unwrap();
-    assert_eq!(client.protocol(), PROTOCOL_VERSION);
     let session = client.open("pipeline", LOOPY).unwrap();
     let locs: Vec<Loc> = engine
         .program_of(session)
@@ -1254,34 +1119,12 @@ fn auth_token_gates_the_hello_exchange() {
 
     // Missing and wrong tokens: structured `unauthorized`, no session.
     for bad in [None, Some("wrong".to_string())] {
-        let got = Client::<IntervalDomain>::connect_with(
-            &addr,
-            dai_rpc::ClientOptions {
-                auth: bad,
-                ..Default::default()
-            },
-        );
+        let got =
+            Client::<IntervalDomain>::connect_with(&addr, dai_rpc::ClientOptions { auth: bad });
         match got {
             Err(EngineError::Remote { code, .. }) => assert_eq!(code, "unauthorized"),
             other => panic!("expected unauthorized, got {:?}", other.err()),
         }
-    }
-
-    // A v3 client cannot present a token at all; the downgraded error
-    // still names the cause.
-    let got = Client::<IntervalDomain>::connect_with(
-        &addr,
-        dai_rpc::ClientOptions {
-            auth: None,
-            protocol: Some(3),
-        },
-    );
-    match got {
-        Err(EngineError::Remote { code, message }) => {
-            assert_eq!(code, "rejected");
-            assert!(message.contains("unauthorized"), "{message}");
-        }
-        other => panic!("expected downgraded unauthorized, got {:?}", other.err()),
     }
 
     // The right token connects and serves.
@@ -1289,7 +1132,6 @@ fn auth_token_gates_the_hello_exchange() {
         &addr,
         dai_rpc::ClientOptions {
             auth: Some("s3cret".to_string()),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -1299,6 +1141,73 @@ fn auth_token_gates_the_hello_exchange() {
     // A rejected hello leaves the connection usable for a retry — the
     // server answers in protocol rather than hanging up.
     server.shutdown();
+}
+
+#[test]
+fn client_takes_a_refused_version_as_final() {
+    // A stand-in for a server of an older protocol answers each hello
+    // from its header and id alone — `UnsupportedVersion` naming the
+    // older version — so it never blocks on a payload layout. Whether the
+    // refusal is framed at the client's own version (readable: the case a
+    // negotiating client would downshift on) or at the older one, the
+    // client must fail with code `version` on that one connection and
+    // never reconnect to renegotiate.
+    for own_framing in [true, false] {
+        let path = scratch(if own_framing {
+            "refusal-own"
+        } else {
+            "refusal-older"
+        });
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let older_server = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut accepted = Vec::new();
+                while !done.load(Ordering::SeqCst) {
+                    let mut stream = match listener.accept() {
+                        Ok((stream, _)) => stream,
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            std::thread::sleep(std::time::Duration::from_millis(5));
+                            continue;
+                        }
+                        Err(e) => panic!("accept failed: {e}"),
+                    };
+                    stream.set_nonblocking(false).unwrap();
+                    let mut pre = [0u8; PAYLOAD_AT];
+                    stream.read_exact(&mut pre).unwrap();
+                    let header = FrameHeader::decode(pre[..FRAME_HEADER_LEN].try_into().unwrap());
+                    let older = header.version - 1;
+                    let refusal = dai_rpc::proto::encode_message(&WireResponse::Error(
+                        WireError::UnsupportedVersion {
+                            got: header.version,
+                            want: older,
+                        },
+                    ));
+                    let framed_at = if own_framing { header.version } else { older };
+                    stream
+                        .write_all(&frame_of(TAG_RESPONSE, framed_at, id_in(&pre), &refusal))
+                        .unwrap();
+                    accepted.push(stream);
+                }
+                accepted.len()
+            })
+        };
+        let got = Client::<IntervalDomain>::connect_addr(&Addr::Unix(path.clone()));
+        done.store(true, Ordering::SeqCst);
+        let accepted = older_server.join().expect("stand-in server must not panic");
+        match got {
+            Err(EngineError::Remote { code, .. }) => assert_eq!(code, "version"),
+            other => panic!("expected a version refusal, got {:?}", other.err()),
+        }
+        assert_eq!(
+            accepted, 1,
+            "the client reconnected to renegotiate (own framing: {own_framing})"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
